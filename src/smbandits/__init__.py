@@ -20,6 +20,7 @@ from .errors import (
     ProtocolViolation,
     SmbError,
     TooLarge,
+    UncertifiedDuals,
 )
 from .instability import (
     InstabilityReport,

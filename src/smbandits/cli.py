@@ -20,8 +20,6 @@ from . import environment as env
 from .config import load_config
 from .errors import ConfigError, SmbError
 from .instability import (
-    max_unhappiness_coalition,
-    min_stabilizing_subsidy,
     ntu_subset_instability,
     ntu_subset_instability_bruteforce,
     subset_instability,
@@ -82,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     threads = _resolve_threads(args.threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = env.sweep([config.cell()], threads=threads)
+    results = env.sweep([config], threads=threads)
     traces = results[config.name]
     write_trace_csv(out_dir / f"{config.name}_trace.csv", traces)
     summary = env.summarize(traces)
@@ -149,19 +147,21 @@ def cmd_score(args: argparse.Namespace) -> int:
             "subsidies_providers": report.subsidies_providers.tolist(),
         }
     else:
+        # One report carries all three faces: the value is the maximum
+        # coalition unhappiness, the witness its coalition, and the subsidies
+        # the minimum stabilizing ones.
         report = subset_instability(truth, outcome)
-        subsidy_total, s_c, s_p = min_stabilizing_subsidy(truth, outcome)
-        unhappiness, coalition = max_unhappiness_coalition(truth, outcome)
+        witness = sorted(repr(a) for a in report.witness_subset)
         payload = {
             "ntu": False,
             "instability": report.value,
             "utility_difference": utility_difference(truth, outcome),
-            "subsidy_total": subsidy_total,
-            "subsidies_customers": s_c.tolist(),
-            "subsidies_providers": s_p.tolist(),
-            "max_coalition_unhappiness": unhappiness,
-            "coalition": sorted(repr(a) for a in coalition),
-            "witness_subset": sorted(repr(a) for a in report.witness_subset),
+            "subsidy_total": report.subsidy_total(),
+            "subsidies_customers": report.subsidies_customers.tolist(),
+            "subsidies_providers": report.subsidies_providers.tolist(),
+            "max_coalition_unhappiness": report.value,
+            "coalition": witness,
+            "witness_subset": witness,
             "blocking_pairs": sorted(list(p) for p in report.blocking_pairs),
         }
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
             "    lin_beta_log_coeff (8.0), lin_ridge (1.0), epsilon (0.3),\n"
             "    etc_pulls_per_pair (default ceil((T/|A|)^(2/3) log^(1/3)(|A|T)))\n"
             "  arrival.kind: all (default)|iid_subset (p)|fixed (schedule)\n"
-            "  noise.kind: gaussian (sigma, default 1.0)|bernoulli\n"
+            "  noise.kind: gaussian (sigma, default 1.0)|bernoulli (truth in [0, 1])\n"
             "  ntu: bool (default false); stability_eps: float (default 0, or\n"
             "    policy epsilon for revenue_frictions); truth: fixed value matrices\n"
         ),

@@ -7,7 +7,6 @@ messages point at the offending key path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,43 +45,6 @@ def _take(obj: dict, path: str, allowed: dict[str, type | tuple[type, ...]]) -> 
     return obj
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment cell: instance recipe, policy, horizon, seeds."""
-
-    preference_class: str
-    customers: int
-    providers: int
-    horizon: int
-    seeds: tuple[int, ...]
-    policy: PolicySpec
-    num_types: int = 3
-    dim: int = 3
-    arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    ntu: bool = False
-    stability_eps: float = 0.0
-    name: str = "experiment"
-    truth: UtilityMatrix | None = None
-
-    def cell(self) -> SweepCell:
-        return SweepCell(
-            name=self.name,
-            klass=self.preference_class,
-            num_customers=self.customers,
-            num_providers=self.providers,
-            horizon=self.horizon,
-            policy=self.policy,
-            seeds=self.seeds,
-            num_types=self.num_types,
-            dim=self.dim,
-            arrival=self.arrival,
-            noise=self.noise,
-            stability_eps=self.stability_eps,
-            truth=self.truth,
-        )
-
-
 def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
     _take(
         obj,
@@ -99,6 +61,8 @@ def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
     )
     kind = obj.get("kind")
     _require(kind in _POLICY_KINDS, f"{path}.kind", f"must be one of {_POLICY_KINDS}")
+    pulls = obj.get("etc_pulls_per_pair")
+    _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
     if ntu:
         _require(kind == "match_ntu_ucb", f"{path}.kind", "ntu experiments use match_ntu_ucb")
     conf = ConfidenceConfig(
@@ -114,11 +78,24 @@ def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
         kind=kind,
         confidence=conf,
         epsilon=epsilon,
-        etc_pulls_per_pair=obj.get("etc_pulls_per_pair"),
+        etc_pulls_per_pair=pulls,
     )
 
 
-def _parse_arrival(obj: dict, path: str) -> ArrivalSpec:
+def _parse_agents(raw, path: str, count: int) -> tuple[int, ...]:
+    """Distinct agent indices in [0, count)."""
+    _require(isinstance(raw, list), path, "expected a list of agent indices")
+    for k, x in enumerate(raw):
+        _require(
+            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < count,
+            f"{path}[{k}]",
+            f"must be an agent index in [0, {count})",
+        )
+    _require(len(set(raw)) == len(raw), path, "repeats an agent index")
+    return tuple(raw)
+
+
+def _parse_arrival(obj: dict, path: str, n_c: int, n_p: int) -> ArrivalSpec:
     _take(obj, path, {"kind": str, "p": (int, float), "schedule": list})
     kind = obj.get("kind", "all")
     _require(kind in ("all", "iid_subset", "fixed"), f"{path}.kind", "must be all|iid_subset|fixed")
@@ -136,7 +113,12 @@ def _parse_arrival(obj: dict, path: str) -> ArrivalSpec:
                 f"{path}.schedule[{k}]",
                 "expected [customer list, provider list]",
             )
-            schedule.append((tuple(int(x) for x in entry[0]), tuple(int(x) for x in entry[1])))
+            schedule.append(
+                (
+                    _parse_agents(entry[0], f"{path}.schedule[{k}][0]", n_c),
+                    _parse_agents(entry[1], f"{path}.schedule[{k}][1]", n_p),
+                )
+            )
         return ArrivalSpec(kind="fixed", schedule=tuple(schedule))
     return ArrivalSpec()
 
@@ -165,7 +147,7 @@ def _parse_truth(obj: dict, path: str, n_c: int, n_p: int) -> UtilityMatrix:
     return truth
 
 
-def parse_config(obj: dict, path: str = "config") -> ExperimentConfig:
+def parse_config(obj: dict, path: str = "config") -> SweepCell:
     _take(
         obj,
         path,
@@ -208,7 +190,8 @@ def parse_config(obj: dict, path: str = "config") -> ExperimentConfig:
         _require(obj["class"] == "typed", f"{path}.class", "match_typed_ucb needs class=typed")
     if policy.kind == "match_lin_ucb":
         _require(obj["class"] == "linear", f"{path}.class", "match_lin_ucb needs class=linear")
-    arrival = _parse_arrival(obj.get("arrival", {}), f"{path}.arrival")
+    n_c, n_p = obj["customers"], obj["providers"]
+    arrival = _parse_arrival(obj.get("arrival", {}), f"{path}.arrival", n_c, n_p)
     noise = _parse_noise(obj.get("noise", {}), f"{path}.noise")
     stability_eps = float(obj.get("stability_eps", 0.0))
     if policy.kind == "revenue_frictions" and "stability_eps" not in obj:
@@ -216,26 +199,32 @@ def parse_config(obj: dict, path: str = "config") -> ExperimentConfig:
     truth = None
     if "truth" in obj:
         _require(obj["class"] == "unstructured", f"{path}.truth", "fixed truth requires class=unstructured")
-        truth = _parse_truth(obj["truth"], f"{path}.truth", obj["customers"], obj["providers"])
-    return ExperimentConfig(
-        preference_class=obj["class"],
-        customers=obj["customers"],
-        providers=obj["providers"],
+        truth = _parse_truth(obj["truth"], f"{path}.truth", n_c, n_p)
+    if noise.kind == "bernoulli":
+        _require(
+            truth is not None
+            and all(0.0 <= v.min() and v.max() <= 1.0 for v in (truth.customer_values, truth.provider_values)),
+            f"{path}.noise.kind",
+            "bernoulli feedback needs a fixed truth with every value in [0, 1]",
+        )
+    return SweepCell(
+        name=obj.get("name", "experiment"),
+        klass=obj["class"],
+        num_customers=n_c,
+        num_providers=n_p,
         horizon=obj["horizon"],
-        seeds=tuple(seeds),
         policy=policy,
+        seeds=tuple(seeds),
         num_types=obj.get("num_types", 3),
         dim=obj.get("dim", 3),
         arrival=arrival,
         noise=noise,
-        ntu=ntu,
         stability_eps=stability_eps,
-        name=obj.get("name", "experiment"),
         truth=truth,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> SweepCell:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

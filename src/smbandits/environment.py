@@ -9,7 +9,6 @@ instance; ``sweep`` fans replicas out over seeds and cells.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -295,7 +294,6 @@ class RegretTrace:
     containment: np.ndarray  # bool: all intervals contained truth this round
     stable_truth: np.ndarray  # bool: outcome stable for the true utilities
     bound_only: np.ndarray  # bool: instability column holds a bound, not the exact value
-    wall_clock: float = 0.0
     outcomes: list[MarketOutcome] | None = None  # populated when record_outcomes=True
 
     @property
@@ -322,7 +320,6 @@ def run(
     ``record_outcomes`` keeps each round's scored outcome on the trace for
     post-hoc inspection.
     """
-    started = time.perf_counter()
     policy = spec.build(instance, horizon)
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
     noise_rng = stream_rng(instance.seed, _STREAM_NOISE)
@@ -385,7 +382,6 @@ def run(
         containment=containment,
         stable_truth=stable_truth,
         bound_only=bound_only,
-        wall_clock=time.perf_counter() - started,
         outcomes=outcomes,
     )
 

@@ -27,3 +27,7 @@ class InvalidContext(SmbError):
 
 class ConfigError(SmbError):
     """Invalid experiment configuration."""
+
+
+class UncertifiedDuals(SmbError):
+    """Dual prices fail feasibility or complementary slackness: the matching is not optimal."""

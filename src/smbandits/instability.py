@@ -3,9 +3,14 @@
 The TU metric is the maximum, over agent subsets, of the gap between the best
 matching on the subset and the subset's realized payoff. It equals both the
 minimum total subsidy that restores stability and the maximum unhappiness of
-any coalition; all three are computed here, along with brute-force oracles
-and the NTU variant (minimum subsidies under disjunctive no-blocking
-constraints).
+any coalition. With net payoffs q, pair gains g_ij = joint(i, j) - q_i - q_j
+and individual-rationality floors f_a = max(0, -q_a), the metric is the sum of
+the floors plus the maximum-weight matching of the reduced gains
+h_ij = g_ij - f_i - f_j: one rectangular assignment solve gives the value, its
+matched pairs and unmatched floors give the witness coalition, and its dual
+prices plus the floors give the optimal subsidies. Brute-force oracles and
+the NTU variant (minimum subsidies under disjunctive no-blocking constraints)
+live here too.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    assignment_pairs,
     assignment_with_duals,
     customer,
     provider,
@@ -62,95 +68,75 @@ def _blocking_gains(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[np.ndarra
     return q_c, q_p, g
 
 
-def _augmented_solution(q_c: np.ndarray, q_p: np.ndarray, g: np.ndarray):
-    """Solve the dual matching reduction; returns (value, selected rows/cols).
+def _reduced_gains(u: UtilityMatrix, outcome: MarketOutcome):
+    """Pair gains g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j.
 
-    The augmented bipartite graph gives edge (i, j) the joint gain of
-    re-matching the pair and each agent an exclusive opt-out of weight -q_a
-    (worth taking only when individual rationality is violated). The metric is
-    the maximum-weight matching of this graph.
+    Raises InvalidOutcome unless the outcome's transfers are zero-sum.
     """
-    n_c, n_p = g.shape
-    n = n_c + n_p
-    aug = np.full((n, n), -np.inf)
-    aug[:n_c, :n_p] = g
-    aug[n_c:, n_p:] = 0.0
-    idx_c = np.arange(n_c)
-    idx_p = np.arange(n_p)
-    aug[idx_c, n_p + idx_c] = np.maximum(0.0, -q_c)
-    aug[n_c + idx_p, idx_p] = np.maximum(0.0, -q_p)
-    rows, cols = linear_sum_assignment(aug, maximize=True)
-    value = max(0.0, float(aug[rows, cols].sum()))
-    return value, rows, cols
+    outcome.check_zero_sum()
+    q_c, q_p, g = _blocking_gains(u, outcome)
+    f_c = np.maximum(0.0, -q_c)
+    f_p = np.maximum(0.0, -q_p)
+    return g, f_c, f_p, g - f_c[:, None] - f_p[None, :]
+
+
+def _instability_value(g: np.ndarray, f_c: np.ndarray, f_p: np.ndarray, rows, cols) -> float:
+    """Sum of the floors plus the gains of the matched pairs ``rows``/``cols``.
+
+    One term per customer (its pair's gain g if matched, else its floor), then
+    one per provider (its floor if unmatched, else zero), summed as one array.
+    The recorded golden trace depends on this order down to the last bit.
+    """
+    terms = np.concatenate((f_c, f_p))
+    terms[rows] = g[rows, cols]
+    terms[len(f_c) + cols] = 0.0
+    return max(0.0, float(terms.sum()))
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Value-only fast path of :func:`subset_instability`."""
-    outcome.check_zero_sum()
-    q_c, q_p, g = _blocking_gains(u, outcome)
-    value, _, _ = _augmented_solution(q_c, q_p, g)
-    return value
+    g, f_c, f_p, h = _reduced_gains(u, outcome)
+    rows, cols = linear_sum_assignment(np.maximum(h, 0.0), maximize=True)
+    keep = h[rows, cols] > 0.0
+    return _instability_value(g, f_c, f_p, rows[keep], cols[keep])
 
 
 def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityReport:
-    """Exact instability of a zero-sum outcome, via the dual matching reduction.
+    """Exact instability of a zero-sum outcome, with all three witnesses.
 
-    The value is the maximum-weight matching of the augmented gain graph; the
-    dual prices of the same program are the optimal stabilizing subsidies, and
-    the selected edges/opt-outs are the blocking structure and witness subset.
+    One maximum-weight matching of the reduced gains h = g - f_i - f_j gives
+    everything: the value is the sum of the floors f plus its weight; its
+    matched pairs with positive gain block, its unmatched agents with a
+    positive floor violate individual rationality, and together they form the
+    witness coalition; its dual prices t give the optimal subsidies f + t.
     """
-    outcome.check_zero_sum()
-    n_c, n_p = u.num_customers, u.num_providers
-    q_c, q_p, g = _blocking_gains(u, outcome)
-    value, rows, cols = _augmented_solution(q_c, q_p, g)
+    g, f_c, f_p, h = _reduced_gains(u, outcome)
+    pairs, t_c, t_p = assignment_with_duals(h)
+    rows = np.array([i for i, _ in pairs], dtype=int)
+    cols = np.array([j for _, j in pairs], dtype=int)
+    value = _instability_value(g, f_c, f_p, rows, cols)
 
-    blocking: set[tuple[int, int]] = set()
-    ir: set[AgentId] = set()
-    for r, c in zip(rows, cols):
-        if r < n_c and c < n_p and g[r, c] > TOL:
-            blocking.add((int(r), int(c)))
-        elif r < n_c and c == n_p + r and -q_c[r] > TOL:
-            ir.add(customer(int(r)))
-        elif r >= n_c and c == r - n_c and -q_p[c] > TOL:
-            ir.add(provider(int(c)))
+    blocking = {(i, j) for i, j in pairs if g[i, j] > TOL}
+    unmatched_c = np.ones(u.num_customers, dtype=bool)
+    unmatched_c[rows] = False
+    unmatched_p = np.ones(u.num_providers, dtype=bool)
+    unmatched_p[cols] = False
+    ir = {customer(int(i)) for i in np.flatnonzero(unmatched_c & (f_c > TOL))}
+    ir |= {provider(int(j)) for j in np.flatnonzero(unmatched_p & (f_p > TOL))}
 
     witness: set[AgentId] = set(ir)
     for i, j in blocking:
         witness.add(customer(i))
         witness.add(provider(j))
 
-    s_c, s_p = _optimal_subsidies(q_c, q_p, g)
     return InstabilityReport(
         value=value,
         witness_subset=frozenset(witness),
-        subsidies_customers=s_c,
-        subsidies_providers=s_p,
+        subsidies_customers=f_c + t_c,
+        subsidies_providers=f_p + t_p,
         blocking_pairs=frozenset(blocking),
         ir_violations=frozenset(ir),
     )
-
-
-def _optimal_subsidies(q_c: np.ndarray, q_p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal subsidy vector: IR floors plus duals of the reduced gain problem.
-
-    Every feasible subsidy satisfies s_a >= max(0, -q_a); writing s = floor + t
-    reduces the program to the assignment dual on g minus the floors, whose
-    dual prices we already know how to extract. A final repair pass lifts any
-    float dust left by the solver.
-    """
-    floor_c = np.maximum(0.0, -q_c)
-    floor_p = np.maximum(0.0, -q_p)
-    reduced = g - floor_c[:, None] - floor_p[None, :]
-    _, t_c, t_p = assignment_with_duals(reduced)
-    s_c = floor_c + t_c
-    s_p = floor_p + t_p
-    for _ in range(4):
-        deficit = g - s_c[:, None] - s_p[None, :]
-        worst = deficit.max() if deficit.size else 0.0
-        if worst <= 1e-12:
-            break
-        s_c += np.maximum(deficit.max(axis=1), 0.0)
-    return s_c, s_p
 
 
 def min_stabilizing_subsidy(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, np.ndarray, np.ndarray]:
@@ -183,8 +169,7 @@ def coalition_deviation(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[Match
 
 def utility_difference(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Total utility of the best matching minus that of the outcome's matching."""
-    pairs, _, _ = assignment_with_duals(u.joint())
-    best = Matching(pairs).total_utility(u)
+    best = Matching(assignment_pairs(u.joint())).total_utility(u)
     return best - outcome.matching.total_utility(u)
 
 

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidOutcome, NoAlternative
+from .errors import InvalidOutcome, NoAlternative, UncertifiedDuals
 
 TOL = 1e-9
+
+# Dual certificates hold to this tolerance relative to the largest weight.
+_DUAL_RTOL = 1e-9
 
 _FORBIDDEN = -np.inf
 
@@ -118,12 +121,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def provider_of(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def customer_of(self) -> dict[int, int]:
-        return {j: i for i, j in self.pairs}
-
     def matched_agents(self) -> list[AgentId]:
         out: list[AgentId] = []
         for i, j in self.pairs:
@@ -144,10 +141,6 @@ class DualPrices:
 
     def total(self) -> float:
         return float(self.customers.sum() + self.providers.sum())
-
-    def of(self, agent: AgentId) -> float:
-        arr = self.customers if agent.side is Side.CUSTOMER else self.providers
-        return float(arr[agent.index])
 
 
 @dataclass(frozen=True)
@@ -192,21 +185,11 @@ class MarketOutcome:
 def assignment_pairs(joint: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight bipartite matching; agents may stay unmatched at zero.
 
-    Edges with weight <= 0 are never used.
+    One rectangular solve on the clipped weights. Edges with weight <= 0 are
+    never used.
     """
-    n_c, n_p = joint.shape
-    if n_c == 0 or n_p == 0:
-        return []
-    w = np.maximum(joint, 0.0)
-    n = max(n_c, n_p)
-    padded = np.zeros((n, n))
-    padded[:n_c, :n_p] = w
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return [
-        (int(i), int(j))
-        for i, j in zip(rows, cols)
-        if i < n_c and j < n_p and joint[i, j] > 0.0
-    ]
+    rows, cols = linear_sum_assignment(np.maximum(joint, 0.0), maximize=True)
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if joint[i, j] > 0.0]
 
 
 def assignment_with_duals(joint: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -227,12 +210,15 @@ def assignment_with_duals(joint: np.ndarray) -> tuple[list[tuple[int, int]], np.
 
 
 def _duals_for_matching(w: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Dual prices supporting an optimal matching, via difference constraints.
+    """Dual prices supporting an optimal matching of nonnegative weights ``w``.
 
     Unmatched agents are pinned at zero (complementary slackness). For matched
     pair k the customer price x_k determines the provider price w_k - x_k, and
     feasibility against all other edges becomes a shortest-path problem. The
-    system is feasible exactly when ``pairs`` is optimal for ``w``.
+    system of difference constraints is feasible exactly when ``pairs`` is
+    optimal for ``w``. The result is checked against every dual constraint,
+    to a tolerance relative to the largest weight, and UncertifiedDuals is
+    raised when the check fails.
     """
     n_c, n_p = w.shape
     p_c = np.zeros(n_c)
@@ -243,33 +229,35 @@ def _duals_for_matching(w: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np
     ci = np.array([i for i, _ in pairs])
     pj = np.array([j for _, j in pairs])
     wk = w[ci, pj]
-    free_p = np.ones(n_p, dtype=bool)
-    free_p[pj] = False
-    free_c = np.ones(n_c, dtype=bool)
-    free_c[ci] = False
 
-    # Box bounds: L_k <= x_k <= U_k.
-    lower = np.zeros(len(pairs))
-    if free_p.any():
-        lower = np.maximum(lower, w[ci][:, free_p].max(axis=1))
-    upper = wk.copy()
-    if free_c.any():
-        upper = np.minimum(upper, wk - w[free_c][:, pj].max(axis=0))
+    # Start from the upper bounds x_k <= w_k (p_p >= 0) and x_k <= w_k - w[i, j_k]
+    # over unmatched customers i; the lower bounds are left to the certificate.
+    x = wk.copy()
+    if len(pairs) < n_c:
+        free_c = np.ones(n_c, dtype=bool)
+        free_c[ci] = False
+        x -= w[free_c][:, pj].max(axis=0)
 
     # Cross constraints x_k - x_l >= w[i_k, j_l] - w_l become edges k -> l of
-    # weight -(w[i_k, j_l] - w_l) in a shortest-path relaxation from x = U.
+    # weight -(w[i_k, j_l] - w_l) in a shortest-path relaxation from there.
     edge = -(w[ci][:, pj] - wk[None, :])
     np.fill_diagonal(edge, np.inf)
-    x = upper.copy()
     for _ in range(len(pairs)):
         new_x = np.minimum(x, np.min(x[:, None] + edge, axis=0))
         if (new_x == x).all():
             break
         x = new_x
-    x = np.clip(x, lower, upper)
 
-    p_c[ci] = np.maximum(x, 0.0)
-    p_p[pj] = np.maximum(wk - x, 0.0)
+    # Certificate: p >= 0, p_i + p_j >= w_ij, equality on matched pairs. The
+    # provider prices w_k - x_k are nonnegative by construction, as x <= w_k.
+    p_c[ci] = x
+    p_p[pj] = wk - x
+    slack = p_c[:, None] + p_p[None, :] - w
+    tol = _DUAL_RTOL * w.max()
+    if x.min() < -tol or slack.min() < -tol or slack[ci, pj].max() > tol:
+        raise UncertifiedDuals(f"no dual prices certify the matching to tolerance {tol:.3g}")
+    # Within that tolerance, customer prices round to the sign constraint.
+    np.maximum(p_c, 0.0, out=p_c)
     return p_c, p_p
 
 
@@ -296,16 +284,19 @@ def stable_outcome_from_duals(u: UtilityMatrix, matching: Matching, prices: Dual
 def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, float]:
     """Maximum-weight matching over all matchings different from ``best``.
 
-    Candidates: for each edge of ``best``, the optimum with that edge
-    forbidden; for each cross edge outside ``best``, the optimum with that
-    edge forced. Raises NoAlternative when no other matching exists.
+    ``best`` must be a maximum-weight matching of ``u``. Any other matching
+    either misses an edge of ``best`` or strictly contains it. The first kind
+    is covered by one solve per edge of ``best`` with that edge forbidden
+    (Murty's branching). Every edge between agents ``best`` leaves unmatched
+    weighs <= 0, so the best of the second kind is ``best`` plus the highest
+    such edge, which needs no solve. Raises NoAlternative when no other
+    matching exists.
     """
     n_c, n_p = u.num_customers, u.num_providers
     if n_c == 0 or n_p == 0:
         raise NoAlternative("market admits only the empty matching")
 
     joint = u.joint()
-    best_pairs = set(best.pairs)
     candidates: list[tuple[float, Matching]] = []
 
     for edge in best.pairs:
@@ -314,18 +305,14 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
         m = Matching(assignment_pairs(modified))
         candidates.append((m.total_utility(u), m))
 
-    all_c = np.arange(n_c)
-    all_p = np.arange(n_p)
-    for i in range(n_c):
-        rest_c = np.delete(all_c, i)
-        for j in range(n_p):
-            if (i, j) in best_pairs:
-                continue
-            rest_p = np.delete(all_p, j)
-            sub = joint[np.ix_(rest_c, rest_p)]
-            lifted = [(int(rest_c[a]), int(rest_p[b])) for a, b in assignment_pairs(sub)]
-            m = Matching(lifted + [(i, j)])
-            candidates.append((m.total_utility(u), m))
+    matched_c = {i for i, _ in best.pairs}
+    matched_p = {j for _, j in best.pairs}
+    free_c = [i for i in range(n_c) if i not in matched_c]
+    free_p = [j for j in range(n_p) if j not in matched_p]
+    if free_c and free_p:
+        a, b = divmod(int(np.argmax(joint[np.ix_(free_c, free_p)])), len(free_p))
+        m = Matching(best.pairs + ((free_c[a], free_p[b]),))
+        candidates.append((m.total_utility(u), m))
 
     if not candidates:
         raise NoAlternative("no matching other than the given one exists")

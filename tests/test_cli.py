@@ -83,6 +83,47 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ntu"):
             parse_config(base_config(ntu=True))
 
+    @pytest.mark.parametrize(
+        "overrides, key_path",
+        [
+            (
+                {"arrival": {"kind": "fixed", "schedule": [[[0], [1]], [[0, 2], [1]]]}},
+                r"config\.arrival\.schedule\[1\]\[0\]\[1\]",
+            ),
+            (
+                {"arrival": {"kind": "fixed", "schedule": [[[0, 1], [1, 1]]]}},
+                r"config\.arrival\.schedule\[0\]\[1\]",
+            ),
+            ({"noise": {"kind": "bernoulli"}}, r"config\.noise\.kind"),
+            (
+                {
+                    "noise": {"kind": "bernoulli"},
+                    "truth": {
+                        "customer_values": [[0.5, -0.1], [0.2, 0.3]],
+                        "provider_values": [[0.1, 0.2], [0.3, 0.4]],
+                    },
+                },
+                r"config\.noise\.kind",
+            ),
+            ({"policy": {"kind": "etc", "etc_pulls_per_pair": -1}}, r"config\.policy\.etc_pulls_per_pair"),
+        ],
+        ids=[
+            "schedule_out_of_range",
+            "schedule_repeated",
+            "bernoulli_generated",
+            "bernoulli_negative_truth",
+            "etc_negative_pulls",
+        ],
+    )
+    def test_rejected_at_parse_time_with_key_path(self, overrides, key_path):
+        with pytest.raises(ConfigError, match=key_path):
+            parse_config(base_config(**overrides))
+
+    def test_bernoulli_with_unit_interval_truth_accepted(self):
+        truth = {"customer_values": [[0.5, 0.1], [0.2, 0.3]], "provider_values": [[0.1, 0.2], [0.3, 1.0]]}
+        cell = parse_config(base_config(noise={"kind": "bernoulli"}, truth=truth))
+        assert cell.noise.kind == "bernoulli" and cell.truth is not None
+
 
 class TestRunCommand:
     def test_writes_csv_and_summary(self, tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_matchings, brute_force_max_weight, random_market, random_zero_sum_outcome
-from smbandits.errors import InvalidOutcome, NoAlternative
+from smbandits.errors import InvalidOutcome, NoAlternative, UncertifiedDuals
 from smbandits.market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    _duals_for_matching,
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
@@ -79,6 +80,18 @@ class TestMaxWeightMatching:
             assert is_stable_tu(u, outcome, 0.0)
 
 
+class TestDualCertificate:
+    def test_non_optimal_pairs_raise(self):
+        w = np.array([[2.0, 1.0], [1.0, 2.0]])
+        p_c, p_p = _duals_for_matching(w, [(0, 0), (1, 1)])
+        assert p_c.sum() + p_p.sum() == pytest.approx(4.0, abs=1e-12)
+        with pytest.raises(UncertifiedDuals):
+            _duals_for_matching(w, [(0, 1), (1, 0)])
+        # A positive edge left between two unmatched agents.
+        with pytest.raises(UncertifiedDuals):
+            _duals_for_matching(np.array([[1.0, 0.0], [0.0, 1.0]]), [(0, 0)])
+
+
 class TestSecondBest:
     def test_fig1_gap(self, fig1_market):
         u = fig1_market.scaled(1.0 / 12.0)
@@ -101,20 +114,26 @@ class TestSecondBest:
             second_best_matching(u, Matching())
 
     def test_random_4x4_agrees_with_enumeration(self):
+        # Beyond 4x4, the rectangular shapes and the market with no positive
+        # edge (empty best matching) are where the best matching leaves agents
+        # unmatched, so the candidate built without a solve decides the result.
         rng = np.random.default_rng(10)
-        for _ in range(40):
-            u = random_market(rng, 4, 4)
+        markets = [random_market(rng, n_c, n_p) for n_c, n_p in [(4, 4)] * 40 + [(1, 3), (2, 4), (4, 2)] * 20]
+        no_positive_edge = UtilityMatrix(-rng.uniform(0.1, 1.0, (3, 3)), -rng.uniform(0.1, 1.0, (3, 3)))
+        for u in markets + [no_positive_edge]:
             best, _ = max_weight_matching_with_duals(u)
             second, weight = second_best_matching(u, best)
             best_set = frozenset(best.pairs)
             expected = max(
                 sum(u.joint()[i, j] for i, j in m)
-                for m in brute_force_matchings(4, 4)
+                for m in brute_force_matchings(u.num_customers, u.num_providers)
                 if frozenset(m) != best_set
             )
             assert weight == pytest.approx(expected, abs=1e-9)
+            assert second.total_utility(u) == pytest.approx(weight, abs=1e-12)
             assert frozenset(second.pairs) != best_set
             assert weight <= best.total_utility(u) + 1e-12
+        assert max_weight_matching_with_duals(no_positive_edge)[0].pairs == ()
 
 
 class TestStabilityTU:
