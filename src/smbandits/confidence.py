@@ -7,6 +7,11 @@ half-width ``scale * sqrt(log(|A| T) / n)``; the linear variant maintains a
 ridge-regression ellipsoid per agent and projects it onto each partner's
 context.
 
+Feedback for one round is a pair of float arrays ``(r_c, r_p)``, both aligned
+with ``matching.pairs``: ``r_c[k]`` is the reward customer ``i_k`` observed
+from provider ``j_k`` and ``r_p[k]`` the reward provider ``j_k`` observed from
+customer ``i_k``. Each class folds a round in with one batched array update.
+
 A ConfidenceSets instance is mutable state owned by a single simulation
 replica; updates are sequential within that replica, and independent replicas
 hold independent instances.
@@ -45,14 +50,16 @@ class ConfidenceConfig:
     lin_ridge: float = 1.0
 
 
-def _clip_interval(mean: float, hw: float) -> tuple[float, float]:
-    """[mean - hw, mean + hw] intersected with [-1, 1]; degenerate means pin
-    to the nearest boundary so lo <= hi always holds."""
-    lo = max(-1.0, mean - hw)
-    hi = min(1.0, mean + hw)
-    if lo > hi:
-        pinned = max(-1.0, min(1.0, mean))
-        return pinned, pinned
+def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[mean - hw, mean + hw] intersected with [-1, 1], elementwise; degenerate
+    means pin to the nearest boundary so lo <= hi always holds."""
+    lo = np.maximum(-1.0, mean - hw)
+    hi = np.minimum(1.0, mean + hw)
+    empty = lo > hi
+    if empty.any():
+        pinned = np.clip(mean, -1.0, 1.0)
+        lo = np.where(empty, pinned, lo)
+        hi = np.where(empty, pinned, hi)
     return lo, hi
 
 
@@ -72,17 +79,24 @@ class ConfidenceSets:
         self.hi_p = np.full((num_providers, num_customers), 1.0)
 
     # -- updates ------------------------------------------------------------
-    def update(self, matching: Matching, rewards: dict[AgentId, float], horizon: int) -> None:
-        """Fold one round of semi-bandit feedback into the intervals."""
-        expected = set(matching.matched_agents())
-        got = set(rewards)
-        if got != expected:
+    def update(self, matching: Matching, rewards: tuple[np.ndarray, np.ndarray], horizon: int) -> None:
+        """Fold one round of semi-bandit feedback ``(r_c, r_p)`` into the intervals."""
+        try:
+            r_c, r_p = rewards
+        except (TypeError, ValueError) as exc:
+            raise ProtocolViolation(f"feedback is not a pair of reward arrays: {exc}") from exc
+        expected = (len(matching.pairs),)
+        if np.shape(r_c) != expected or np.shape(r_p) != expected:
             raise ProtocolViolation(
-                f"feedback does not match the matching: missing={expected - got}, extra={got - expected}"
+                f"feedback shapes {np.shape(r_c)} / {np.shape(r_p)} do not match "
+                f"the {expected[0]} matched pairs"
             )
-        self._apply(matching, rewards, horizon)
+        if expected[0]:
+            ci, pj = matching.index_arrays
+            self._apply(ci, pj, np.asarray(r_c, dtype=float), np.asarray(r_p, dtype=float), horizon)
 
-    def _apply(self, matching: Matching, rewards: dict[AgentId, float], horizon: int) -> None:
+    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
+        """Fold rewards of the disjoint pairs (ci[k], pj[k]) into the intervals."""
         raise NotImplementedError
 
     # -- projections ----------------------------------------------------------
@@ -169,18 +183,20 @@ class UnstructuredConfidence(ConfidenceSets):
         self.mean_c = np.zeros((num_customers, num_providers))
         self.mean_p = np.zeros((num_providers, num_customers))
 
-    def _apply(self, matching: Matching, rewards: dict[AgentId, float], horizon: int) -> None:
+    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
+        # Pairs are disjoint, so no index repeats within one fancy-index update.
         log_term = math.log(max(self.num_agents * horizon, 2))
-        for i, j in matching.pairs:
-            n = self.counts[i, j] + 1
-            self.counts[i, j] = n
-            r_c = rewards[AgentId(Side.CUSTOMER, i)]
-            r_p = rewards[AgentId(Side.PROVIDER, j)]
-            self.mean_c[i, j] += (r_c - self.mean_c[i, j]) / n
-            self.mean_p[j, i] += (r_p - self.mean_p[j, i]) / n
-            hw = self.config.ucb_scale * math.sqrt(log_term / n)
-            self.lo_c[i, j], self.hi_c[i, j] = _clip_interval(self.mean_c[i, j], hw)
-            self.lo_p[j, i], self.hi_p[j, i] = _clip_interval(self.mean_p[j, i], hw)
+        n = self.counts[ci, pj] + 1
+        self.counts[ci, pj] = n
+        mean_c = self.mean_c[ci, pj]
+        mean_c += (r_c - mean_c) / n
+        self.mean_c[ci, pj] = mean_c
+        mean_p = self.mean_p[pj, ci]
+        mean_p += (r_p - mean_p) / n
+        self.mean_p[pj, ci] = mean_p
+        hw = self.config.ucb_scale * np.sqrt(log_term / n)
+        self.lo_c[ci, pj], self.hi_c[ci, pj] = _clip_intervals(mean_c, hw)
+        self.lo_p[pj, ci], self.hi_p[pj, ci] = _clip_intervals(mean_p, hw)
 
     def nominal_width(self, i: int, j: int, horizon: int) -> float:
         """Pre-clip width 2 * scale * sqrt(log(|A|T)/n); monotone in pulls."""
@@ -222,30 +238,46 @@ class TypedConfidence(ConfidenceSets):
         self.type_mean = np.zeros((num_types, num_types))
         self.type_lo = np.full((num_types, num_types), -1.0)
         self.type_hi = np.full((num_types, num_types), 1.0)
+        # Flat type-cell index of every ordered pair, customer-side (nI, nJ)
+        # and provider-side (nJ, nI).
+        self._cell_c = self.customer_types[:, None] * num_types + self.provider_types[None, :]
+        self._cell_p = self.provider_types[:, None] * num_types + self.customer_types[None, :]
 
-    def _apply(self, matching: Matching, rewards: dict[AgentId, float], horizon: int) -> None:
+    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
         log_term = math.log(max(self.num_agents * horizon, 2))
-        for i, j in matching.pairs:
-            tc = self.customer_types[i]
-            tp = self.provider_types[j]
-            for (x, y), r in (
-                ((tc, tp), rewards[AgentId(Side.CUSTOMER, i)]),
-                ((tp, tc), rewards[AgentId(Side.PROVIDER, j)]),
-            ):
-                n = self.type_counts[x, y] + 1
-                self.type_counts[x, y] = n
-                self.type_mean[x, y] += (r - self.type_mean[x, y]) / n
-                hw = self.config.ucb_scale * math.sqrt(log_term / n)
-                self.type_lo[x, y], self.type_hi[x, y] = _clip_interval(self.type_mean[x, y], hw)
+        # Cells repeat within a round (shared type pairs, or tc == tp), so the
+        # running means fold observations one at a time, in the order
+        # customer 0, provider 0, customer 1, provider 1, ...
+        cells = np.empty(2 * len(ci), dtype=np.intp)
+        cells[0::2] = self._cell_c[ci, pj]
+        cells[1::2] = self._cell_p[pj, ci]
+        rewards = np.empty(cells.size)
+        rewards[0::2] = r_c
+        rewards[1::2] = r_p
+        touched = np.unique(cells)
+        counts = self.type_counts.reshape(-1)
+        mean = self.type_mean.reshape(-1)
+        n = counts[touched].tolist()
+        m = mean[touched].tolist()
+        for k, r in zip(np.searchsorted(touched, cells).tolist(), rewards.tolist()):
+            n[k] += 1
+            m[k] += (r - m[k]) / n[k]
+        counts[touched] = n
+        mean[touched] = m
+        # An interval depends only on its cell's final count and mean.
+        hw = self.config.ucb_scale * np.sqrt(log_term / counts[touched])
+        lo, hi = _clip_intervals(mean[touched], hw)
+        self.type_lo.reshape(-1)[touched] = lo
+        self.type_hi.reshape(-1)[touched] = hi
         self._refresh_pairs()
 
     def _refresh_pairs(self) -> None:
-        tc = self.customer_types
-        tp = self.provider_types
-        self.lo_c = self.type_lo[np.ix_(tc, tp)]
-        self.hi_c = self.type_hi[np.ix_(tc, tp)]
-        self.lo_p = self.type_lo[np.ix_(tp, tc)]
-        self.hi_p = self.type_hi[np.ix_(tp, tc)]
+        lo = self.type_lo.reshape(-1)
+        hi = self.type_hi.reshape(-1)
+        self.lo_c = lo[self._cell_c]
+        self.hi_c = hi[self._cell_c]
+        self.lo_p = lo[self._cell_p]
+        self.hi_p = hi[self._cell_p]
 
     def _pair_count(self, i: int, j: int) -> int:
         return int(self.type_counts[self.customer_types[i], self.provider_types[j]])
@@ -292,52 +324,37 @@ class LinearConfidence(ConfidenceSets):
         self.pulls = np.zeros(n_agents, dtype=int)
         self.phi_hat = np.zeros((n_agents, self.dim))
 
-    def _agent_slot(self, agent: AgentId) -> int:
-        return agent.index if agent.side is Side.CUSTOMER else self.num_customers + agent.index
-
     def beta(self, horizon: int) -> float:
         return (
             self.config.lin_beta_d_coeff * self.dim * math.log(1.0 + horizon)
             + self.config.lin_beta_log_coeff * math.log(max(self.num_agents * horizon, 2))
         )
 
-    def _apply(self, matching: Matching, rewards: dict[AgentId, float], horizon: int) -> None:
-        updated = []
-        for i, j in matching.pairs:
-            for agent, ctx in (
-                (AgentId(Side.CUSTOMER, i), self.provider_contexts[j]),
-                (AgentId(Side.PROVIDER, j), self.customer_contexts[i]),
-            ):
-                slot = self._agent_slot(agent)
-                self.V[slot] += np.outer(ctx, ctx)
-                self.b[slot] += rewards[agent] * ctx
-                self.pulls[slot] += 1
-                updated.append(agent)
-        for agent in updated:
-            slot = self._agent_slot(agent)
-            phi = np.linalg.solve(self.V[slot], self.b[slot])
-            norm = np.linalg.norm(phi)
-            if norm > 1.0:
-                phi = phi / norm
-            self.phi_hat[slot] = phi
-            self._refresh_agent(agent, horizon)
-
-    def _refresh_agent(self, agent: AgentId, horizon: int) -> None:
-        slot = self._agent_slot(agent)
-        partners = self.provider_contexts if agent.side is Side.CUSTOMER else self.customer_contexts
-        if partners.shape[0] == 0:
-            return
-        center = partners @ self.phi_hat[slot]
-        vinv = np.linalg.inv(self.V[slot])
-        bonus = np.sqrt(self.beta(horizon)) * np.sqrt(np.einsum("nd,de,ne->n", partners, vinv, partners))
-        lo = np.maximum(-1.0, center - bonus)
-        hi = np.minimum(1.0, center + bonus)
-        if agent.side is Side.CUSTOMER:
-            self.lo_c[agent.index] = lo
-            self.hi_c[agent.index] = hi
-        else:
-            self.lo_p[agent.index] = lo
-            self.hi_p[agent.index] = hi
+    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
+        # Each agent is matched at most once per round, so every side updates
+        # a set of distinct slots: one stacked solve and one stacked inverse.
+        # The stacked matmuls below keep each agent's centre and norm equal,
+        # to the last bit, to the one-agent products ``partners @ phi`` and
+        # ``np.linalg.norm(phi)``; ``phi @ P.T`` or an einsum would not.
+        root_beta = np.sqrt(self.beta(horizon))
+        cc, pc = self.customer_contexts, self.provider_contexts
+        for slots, rows, partners, ctx, r, lo, hi in (
+            (ci, ci, pc, pc[pj], r_c, self.lo_c, self.hi_c),
+            (self.num_customers + pj, pj, cc, cc[ci], r_p, self.lo_p, self.hi_p),
+        ):
+            self.V[slots] += ctx[:, :, None] * ctx[:, None, :]
+            self.b[slots] += r[:, None] * ctx
+            self.pulls[slots] += 1
+            V = self.V[slots]
+            phi = np.linalg.solve(V, self.b[slots][:, :, None])[:, :, 0]
+            norm = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
+            outside = norm > 1.0
+            phi[outside] /= norm[outside, None]
+            self.phi_hat[slots] = phi
+            center = (partners[None] @ phi[:, :, None])[:, :, 0]
+            bonus = root_beta * np.sqrt(np.einsum("nd,kde,ne->kn", partners, np.linalg.inv(V), partners))
+            lo[rows] = np.maximum(-1.0, center - bonus)
+            hi[rows] = np.minimum(1.0, center + bonus)
 
     def _pair_count(self, i: int, j: int) -> int:
         return int(min(self.pulls[i], self.pulls[self.num_customers + j]))

@@ -22,10 +22,8 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
-    customer,
     is_stable_ntu,
     is_stable_tu,
-    provider,
     stability_inequalities_hold,
 )
 
@@ -340,7 +338,7 @@ def run(
         cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
         contained = policy.conf.contains(truth)
 
-        def feedback(matching: Matching) -> dict:
+        def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
             return _observe(truth, matching, instance.noise, noise_rng)
 
         decision = policy.step((cust, prov), feedback)
@@ -403,14 +401,17 @@ def _draw_arrivals(
 
 def _observe(
     truth: UtilityMatrix, matching: Matching, noise: NoiseSpec, rng: np.random.Generator
-) -> dict:
-    pairs = matching.pairs
-    if not pairs:
-        return {}
-    means = np.empty(2 * len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        means[2 * k] = truth.customer_values[i, j]
-        means[2 * k + 1] = truth.provider_values[j, i]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy rewards (customer side, provider side), aligned with ``matching.pairs``.
+
+    Draws are interleaved customer, provider per pair, in pair order.
+    """
+    if not matching.pairs:
+        return np.empty(0), np.empty(0)
+    ci, pj = matching.index_arrays
+    means = np.empty(2 * len(ci))
+    means[0::2] = truth.customer_values[ci, pj]
+    means[1::2] = truth.provider_values[pj, ci]
     if noise.kind == "gaussian":
         values = means + noise.sigma * rng.standard_normal(means.size)
     elif noise.kind == "bernoulli":
@@ -419,11 +420,7 @@ def _observe(
         values = (rng.random(means.size) < means).astype(float)
     else:
         raise ConfigError(f"unknown noise kind {noise.kind!r}")
-    obs = {}
-    for k, (i, j) in enumerate(pairs):
-        obs[customer(i)] = float(values[2 * k])
-        obs[provider(j)] = float(values[2 * k + 1])
-    return obs
+    return values[0::2], values[1::2]
 
 
 def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray) -> MarketOutcome:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -121,15 +122,16 @@ class Matching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def matched_agents(self) -> list[AgentId]:
-        out: list[AgentId] = []
-        for i, j in self.pairs:
-            out.append(customer(i))
-            out.append(provider(j))
-        return out
+    @cached_property
+    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only customer and provider index arrays, aligned with ``pairs``."""
+        idx = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)
+        idx.flags.writeable = False
+        return idx[:, 0], idx[:, 1]
 
     def total_utility(self, u: UtilityMatrix) -> float:
-        return float(sum(u.joint()[i, j] for i, j in self.pairs))
+        joint = u.joint()
+        return float(sum(joint[i, j] for i, j in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -169,17 +171,27 @@ class MarketOutcome:
         return q_c, q_p
 
     def check_zero_sum(self, tol: float = TOL) -> None:
-        matched_c = {i for i, _ in self.matching.pairs}
-        matched_p = {j for _, j in self.matching.pairs}
-        for i, j in self.matching.pairs:
-            if abs(self.customer_transfers[i] + self.provider_transfers[j]) > tol:
-                raise InvalidOutcome(f"transfers of pair ({i},{j}) are not zero-sum")
-        for i, tau in enumerate(self.customer_transfers):
-            if i not in matched_c and abs(tau) > tol:
-                raise InvalidOutcome(f"unmatched customer {i} has nonzero transfer")
-        for j, tau in enumerate(self.provider_transfers):
-            if j not in matched_p and abs(tau) > tol:
-                raise InvalidOutcome(f"unmatched provider {j} has nonzero transfer")
+        """Raise InvalidOutcome unless every matched pair's transfers sum to
+        zero and every unmatched agent's transfer is zero, within ``tol``.
+        The first failing pair is reported, then unmatched customers, then
+        unmatched providers."""
+        ci, pj = self.matching.index_arrays
+        tau_c, tau_p = self.customer_transfers, self.provider_transfers
+        n_c = len(tau_c)
+        # One residual per agent: the pair sum on matched customers, zero on
+        # matched providers, and the transfer itself on unmatched agents.
+        resid = np.concatenate((tau_c, tau_p))
+        resid[ci] = tau_c[ci] + tau_p[pj]
+        resid[n_c + pj] = 0.0
+        bad = np.abs(resid) > tol
+        if not bad.any():
+            return
+        if bad[ci].any():
+            k = int(np.argmax(bad[ci]))
+            raise InvalidOutcome(f"transfers of pair ({ci[k]},{pj[k]}) are not zero-sum")
+        if bad[:n_c].any():
+            raise InvalidOutcome(f"unmatched customer {int(np.argmax(bad[:n_c]))} has nonzero transfer")
+        raise InvalidOutcome(f"unmatched provider {int(np.argmax(bad[n_c:]))} has nonzero transfer")
 
 
 def assignment_pairs(joint: np.ndarray) -> list[tuple[int, int]]:

@@ -19,7 +19,6 @@ from .confidence import ConfidenceSets, Mode
 from .errors import NoAlternative
 from .market import (
     TOL,
-    AgentId,
     Matching,
     MarketOutcome,
     UtilityMatrix,
@@ -201,6 +200,8 @@ class Policy:
         self.round_index = 0
 
     def step(self, arrivals: Arrivals, feedback) -> RoundDecision:
+        """Play one round. ``feedback(matching)`` returns the observed rewards
+        ``(r_c, r_p)``: two float arrays aligned with ``matching.pairs``."""
         self.round_index += 1
         decision = self._select(arrivals)
         observations = feedback(decision.outcome.matching)
@@ -210,7 +211,7 @@ class Policy:
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         raise NotImplementedError
 
-    def _learn(self, matching: Matching, observations: dict[AgentId, float]) -> None:
+    def _learn(self, matching: Matching, observations: tuple[np.ndarray, np.ndarray]) -> None:
         self.conf.update(matching, observations, self.horizon)
 
 
@@ -302,7 +303,7 @@ class EtcPolicy(Policy):
         w = self.conf.width_sum(matching)
         return RoundDecision(outcome, w, w, 0.0)
 
-    def _learn(self, matching: Matching, observations: dict[AgentId, float]) -> None:
+    def _learn(self, matching: Matching, observations: tuple[np.ndarray, np.ndarray]) -> None:
         if not self.committed:
             super()._learn(matching, observations)
         # Committed phase keeps the sets frozen; feedback is discarded.

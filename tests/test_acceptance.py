@@ -246,11 +246,11 @@ def test_criterion_09_ntu_suite():
 
     def feedback_for(truth):
         def feedback(matching):
-            obs = {}
+            r_c, r_p = [], []
             for i, j in matching.pairs:
-                obs[customer(i)] = truth.customer_values[i, j] + noise_rng.standard_normal()
-                obs[provider(j)] = truth.provider_values[j, i] + noise_rng.standard_normal()
-            return obs
+                r_c.append(truth.customer_values[i, j] + noise_rng.standard_normal())
+                r_p.append(truth.provider_values[j, i] + noise_rng.standard_normal())
+            return np.array(r_c), np.array(r_p)
 
         return feedback
 

@@ -16,12 +16,9 @@ from smbandits.errors import InvalidContext, ProtocolViolation
 from smbandits.market import Matching, UtilityMatrix, customer, provider
 
 
-def obs_for(matching: Matching, value: float) -> dict:
-    out = {}
-    for i, j in matching.pairs:
-        out[customer(i)] = value
-        out[provider(j)] = value
-    return out
+def obs_for(matching: Matching, value: float) -> tuple[np.ndarray, np.ndarray]:
+    k = len(matching.pairs)
+    return np.full(k, value), np.full(k, value)
 
 
 class TestInit:
@@ -89,11 +86,11 @@ class TestUnstructuredUpdate:
         m = Matching([(0, 0), (1, 1)])
         last = {pair: 2.0 for pair in m.pairs}
         for _ in range(200):
-            obs = {}
-            for i, j in m.pairs:
-                obs[customer(i)] = rng.normal()
-                obs[provider(j)] = rng.normal()
-            conf.update(m, obs, horizon=200)
+            r_c, r_p = [], []
+            for _ in m.pairs:
+                r_c.append(rng.normal())
+                r_p.append(rng.normal())
+            conf.update(m, (np.array(r_c), np.array(r_p)), horizon=200)
             for pair in m.pairs:
                 now = conf.nominal_width(*pair, horizon=200)
                 assert now <= last[pair] + 1e-12
@@ -102,8 +99,8 @@ class TestUnstructuredUpdate:
     def test_reward_for_unmatched_agent_rejected(self):
         conf = UnstructuredConfidence(2, 2)
         m = Matching([(0, 0)])
-        bad = obs_for(m, 0.1)
-        bad[customer(1)] = 0.2
+        r_c, r_p = obs_for(m, 0.1)
+        bad = (np.append(r_c, 0.2), r_p)
         with pytest.raises(ProtocolViolation):
             conf.update(m, bad, horizon=100)
 
@@ -111,7 +108,17 @@ class TestUnstructuredUpdate:
         conf = UnstructuredConfidence(2, 2)
         m = Matching([(0, 0)])
         with pytest.raises(ProtocolViolation):
-            conf.update(m, {customer(0): 0.1}, horizon=100)
+            conf.update(m, (np.array([0.1]), np.array([])), horizon=100)
+
+    def test_feedback_other_than_two_arrays_rejected(self):
+        conf = UnstructuredConfidence(2, 2)
+        m = Matching([(0, 0), (1, 1)])
+        r_c, r_p = obs_for(m, 0.1)
+        agent_dict = {customer(0): 0.1, provider(0): 0.1, customer(1): 0.1, provider(1): 0.1}
+        for bad in (agent_dict, (r_c, r_p, r_p), np.array([0.1, 0.1]), None):
+            with pytest.raises(ProtocolViolation):
+                conf.update(m, bad, horizon=100)
+        assert (conf.counts == 0).all()
 
 
 class TestTypedUpdate:
@@ -129,7 +136,7 @@ class TestTypedUpdate:
     def test_same_type_both_sides_counts_twice(self):
         conf = TypedConfidence(np.array([0]), np.array([0]), num_types=1)
         m = Matching([(0, 0)])
-        conf.update(m, {customer(0): 0.2, provider(0): 0.6}, horizon=100)
+        conf.update(m, (np.array([0.2]), np.array([0.6])), horizon=100)
         assert conf.type_counts[0, 0] == 2
         assert conf.type_mean[0, 0] == pytest.approx(0.4)
 
@@ -146,7 +153,7 @@ class TestLinearUpdate:
         for t in range(400):
             j = t % 2
             m = Matching([(0, j)])
-            conf.update(m, {customer(0): float(phi[j]), provider(j): 0.0}, horizon=horizon)
+            conf.update(m, (np.array([phi[j]]), np.array([0.0])), horizon=horizon)
         slot = 0
         assert np.allclose(conf.phi_hat[slot], phi, atol=0.01)
         widths = [conf.width(customer(0), provider(j)) for j in range(2)]
@@ -162,7 +169,7 @@ class TestLinearUpdate:
         prev = float(c @ np.linalg.inv(conf.V[slot]) @ c)
         m = Matching([(0, 1)])
         for _ in range(50):
-            conf.update(m, {customer(0): rng.normal(), provider(1): rng.normal()}, horizon=100)
+            conf.update(m, (np.array([rng.normal()]), np.array([rng.normal()])), horizon=100)
             now = float(c @ np.linalg.inv(conf.V[slot]) @ c)
             assert now <= prev + 1e-12
             prev = now

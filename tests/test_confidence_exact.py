@@ -1,0 +1,160 @@
+"""The batched confidence updates equal, to the last bit, a per-observation
+reference: the one-agent-at-a-time loops the batched forms replace."""
+
+import math
+
+import numpy as np
+import pytest
+
+from smbandits.confidence import (
+    ConfidenceConfig,
+    LinearConfidence,
+    TypedConfidence,
+    UnstructuredConfidence,
+)
+from smbandits.market import Matching
+
+NARROW = ConfidenceConfig(ucb_scale=0.3, lin_beta_d_coeff=0.02, lin_beta_log_coeff=0.02)
+
+
+def clip_interval(mean, hw):
+    lo = max(-1.0, mean - hw)
+    hi = min(1.0, mean + hw)
+    if lo > hi:
+        pinned = max(-1.0, min(1.0, mean))
+        return pinned, pinned
+    return lo, hi
+
+
+def reference_unstructured(conf, pairs, r_c, r_p, horizon):
+    log_term = math.log(max(conf.num_agents * horizon, 2))
+    for k, (i, j) in enumerate(pairs):
+        n = conf.counts[i, j] + 1
+        conf.counts[i, j] = n
+        conf.mean_c[i, j] += (float(r_c[k]) - conf.mean_c[i, j]) / n
+        conf.mean_p[j, i] += (float(r_p[k]) - conf.mean_p[j, i]) / n
+        hw = conf.config.ucb_scale * math.sqrt(log_term / n)
+        conf.lo_c[i, j], conf.hi_c[i, j] = clip_interval(conf.mean_c[i, j], hw)
+        conf.lo_p[j, i], conf.hi_p[j, i] = clip_interval(conf.mean_p[j, i], hw)
+
+
+def reference_typed(conf, pairs, r_c, r_p, horizon):
+    log_term = math.log(max(conf.num_agents * horizon, 2))
+    for k, (i, j) in enumerate(pairs):
+        tc = conf.customer_types[i]
+        tp = conf.provider_types[j]
+        for (x, y), r in (((tc, tp), float(r_c[k])), ((tp, tc), float(r_p[k]))):
+            n = conf.type_counts[x, y] + 1
+            conf.type_counts[x, y] = n
+            conf.type_mean[x, y] += (r - conf.type_mean[x, y]) / n
+            hw = conf.config.ucb_scale * math.sqrt(log_term / n)
+            conf.type_lo[x, y], conf.type_hi[x, y] = clip_interval(conf.type_mean[x, y], hw)
+    tc, tp = conf.customer_types, conf.provider_types
+    conf.lo_c = conf.type_lo[np.ix_(tc, tp)]
+    conf.hi_c = conf.type_hi[np.ix_(tc, tp)]
+    conf.lo_p = conf.type_lo[np.ix_(tp, tc)]
+    conf.hi_p = conf.type_hi[np.ix_(tp, tc)]
+
+
+def reference_linear(conf, pairs, r_c, r_p, horizon):
+    n_c = conf.num_customers
+    updated = []
+    for k, (i, j) in enumerate(pairs):
+        for slot, ctx, r in ((i, conf.provider_contexts[j], r_c[k]), (n_c + j, conf.customer_contexts[i], r_p[k])):
+            conf.V[slot] += np.outer(ctx, ctx)
+            conf.b[slot] += float(r) * ctx
+            conf.pulls[slot] += 1
+            updated.append(slot)
+    for slot in updated:
+        phi = np.linalg.solve(conf.V[slot], conf.b[slot])
+        norm = np.linalg.norm(phi)
+        if norm > 1.0:
+            phi = phi / norm
+        conf.phi_hat[slot] = phi
+        customer_side = slot < n_c
+        partners = conf.provider_contexts if customer_side else conf.customer_contexts
+        if partners.shape[0] == 0:
+            continue
+        center = partners @ conf.phi_hat[slot]
+        vinv = np.linalg.inv(conf.V[slot])
+        bonus = np.sqrt(conf.beta(horizon)) * np.sqrt(np.einsum("nd,de,ne->n", partners, vinv, partners))
+        lo, hi = (conf.lo_c, conf.hi_c) if customer_side else (conf.lo_p, conf.hi_p)
+        row = slot if customer_side else slot - n_c
+        lo[row] = np.maximum(-1.0, center - bonus)
+        hi[row] = np.minimum(1.0, center + bonus)
+
+
+def unit_rows(rng, count, dim):
+    x = rng.normal(size=(count, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.3, 1.0, (count, 1))
+
+
+def random_round(rng, n_c, n_p):
+    """A random matching, empty about one round in eight, and its rewards;
+    some rewards lie far outside [-1, 1] to reach the pinning and projection branches."""
+    k = 0 if rng.random() < 0.125 else int(rng.integers(1, min(n_c, n_p) + 1))
+    pairs = Matching(zip(rng.permutation(n_c)[:k].tolist(), rng.permutation(n_p)[:k].tolist())).pairs
+    scale = 4.0 if rng.random() < 0.2 else 1.0
+    return pairs, rng.normal(0.2, scale, k), rng.normal(-0.1, scale, k)
+
+
+def assert_same_state(got, want, names):
+    for name in names + ("lo_c", "hi_c", "lo_p", "hi_p"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def play(make, reference, names, rng, n_c, n_p, rounds=40):
+    got, want = make(), make()
+    horizon = int(rng.integers(10, 1000))
+    for _ in range(rounds):
+        pairs, r_c, r_p = random_round(rng, n_c, n_p)
+        got.update(Matching(pairs), (r_c, r_p), horizon)
+        reference(want, pairs, r_c, r_p, horizon)
+        assert_same_state(got, want, names)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unstructured_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_c, n_p = (int(x) for x in rng.integers(1, 9, 2))
+    play(
+        lambda: UnstructuredConfidence(n_c, n_p, NARROW),
+        reference_unstructured,
+        ("counts", "mean_c", "mean_p"),
+        rng, n_c, n_p,
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_typed_matches_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    n_c, n_p = (int(x) for x in rng.integers(2, 9, 2))
+    # Few types: type pairs repeat within a round, and tc == tp occurs.
+    num_types = 1 + seed % 3
+    ct = rng.integers(0, num_types, n_c)
+    pt = rng.integers(0, num_types, n_p)
+    play(
+        lambda: TypedConfidence(ct, pt, num_types, NARROW),
+        reference_typed,
+        ("type_counts", "type_mean", "type_lo", "type_hi"),
+        rng, n_c, n_p,
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_matches_reference(dim, seed):
+    rng = np.random.default_rng(1000 * dim + seed)
+    n_c, n_p = (int(x) for x in rng.integers(1, 10, 2))
+    cc, pc = unit_rows(rng, n_c, dim), unit_rows(rng, n_p, dim)
+    config = ConfidenceConfig(
+        lin_beta_d_coeff=NARROW.lin_beta_d_coeff,
+        lin_beta_log_coeff=NARROW.lin_beta_log_coeff,
+        lin_ridge=float(rng.uniform(0.2, 2.0)),
+    )
+    play(
+        lambda: LinearConfidence(cc, pc, config),
+        reference_linear,
+        ("V", "b", "phi_hat", "pulls"),
+        rng, n_c, n_p,
+    )

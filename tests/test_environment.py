@@ -186,10 +186,8 @@ class TestNoise:
         rng = stream_rng(5, 2)
         m = Matching([(0, 0)])
         n = 4000
-        from smbandits.market import customer, provider
-
         vals_c = [
-            _observe(truth, m, NoiseSpec(), rng)[customer(0)]
+            _observe(truth, m, NoiseSpec(), rng)[0][0]
             for _ in range(n)
         ]
         assert abs(np.mean(vals_c) - 0.37) < 3.0 / math.sqrt(n)
@@ -204,9 +202,7 @@ class TestNoise:
         inst = gen_hard_instance(2, 100, seed=7)
         rng = stream_rng(7, 2)
         m = Matching([(0, 0)])
-        from smbandits.market import customer
-
-        vals = [_observe(inst.truth, m, inst.noise, rng)[customer(0)] for _ in range(3000)]
+        vals = [float(_observe(inst.truth, m, inst.noise, rng)[0][0]) for _ in range(3000)]
         assert set(vals) <= {0.0, 1.0}
         target = inst.truth.customer_values[0, 0]
         assert abs(np.mean(vals) - target) < 3.0 * 0.5 / math.sqrt(3000)

@@ -154,6 +154,21 @@ class TestStabilityTU:
         with pytest.raises(InvalidOutcome):
             is_stable_tu(fig1_market, outcome, 0.0)
 
+    @pytest.mark.parametrize(
+        "tau_c, tau_p, message",
+        [
+            # Pair (1, 0) breaks zero sum and unmatched agents hold transfers:
+            # the pair is reported first.
+            ([0.5, 0.2, 0.0], [-0.1, -0.5, 0.3], r"pair \(1,0\)"),
+            ([0.5, -0.1, 0.2], [0.1, -0.5, 0.3], "unmatched customer 2"),
+            ([0.5, -0.1, 0.0], [0.1, -0.5, 0.3], "unmatched provider 2"),
+        ],
+    )
+    def test_zero_sum_violations_named_in_order(self, tau_c, tau_p, message):
+        outcome = MarketOutcome(Matching([(0, 1), (1, 0)]), np.array(tau_c), np.array(tau_p))
+        with pytest.raises(InvalidOutcome, match=message):
+            outcome.check_zero_sum()
+
     def test_eps_relaxation(self, fig1_market):
         # Customer overpays by 0.5: IR is violated by 0.5 and the idle
         # expensive provider blocks with gain 2.5, so stability needs

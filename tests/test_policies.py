@@ -10,10 +10,8 @@ from smbandits.instability import subset_instability_value
 from smbandits.market import (
     Matching,
     UtilityMatrix,
-    customer,
     is_stable_ntu,
     is_stable_tu,
-    provider,
     stability_inequalities_hold,
 )
 from smbandits.policies import (
@@ -49,12 +47,9 @@ def shifted_conf(truth: UtilityMatrix, rng: np.random.Generator, width: float) -
 
 
 def echo_feedback(truth: UtilityMatrix):
-    def feedback(matching: Matching) -> dict:
-        obs = {}
-        for i, j in matching.pairs:
-            obs[customer(i)] = float(truth.customer_values[i, j])
-            obs[provider(j)] = float(truth.provider_values[j, i])
-        return obs
+    def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+        ci, pj = matching.index_arrays
+        return truth.customer_values[ci, pj], truth.provider_values[pj, ci]
 
     return feedback
 
@@ -189,10 +184,9 @@ class TestPolicyLoops:
         conf = init_confidence(Mode.UNSTRUCTURED, 2, 2)
         policy = MatchUcbPolicy(conf, horizon=10)
 
-        def broken(matching: Matching) -> dict:
-            obs = echo_feedback(truth)(matching)
-            obs.pop(next(iter(obs)), None)
-            return obs
+        def broken(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+            r_c, r_p = echo_feedback(truth)(matching)
+            return r_c[1:], r_p
 
         with pytest.raises(ProtocolViolation):
             policy.step(all_arrivals(2, 2), broken)
