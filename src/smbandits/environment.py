@@ -17,13 +17,13 @@ import numpy as np
 from . import policies as pol
 from .confidence import ConfidenceConfig, ConfidenceSets, Mode, init_confidence
 from .errors import ConfigError
-from .instability import ntu_subset_instability, subset_instability_value
+from .instability import ntu_subset_instability, subset_instability_and_stability, subset_instability_value
 from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
     is_stable_ntu,
-    is_stable_tu,
+    is_stable_tu,  # not called here; perfbench/tracer.py patches this name
     stability_inequalities_hold,
 )
 
@@ -353,13 +353,13 @@ def run(
                 inst = decision.certified_instability_bound
                 bound_only[t] = True
             stable_truth[t] = is_stable_ntu(truth_sub, sub_outcome.matching)
-        else:
+        elif stability_eps > 0:
             inst = subset_instability_value(truth_sub, sub_outcome)
-            if stability_eps > 0:
-                judged = _restrict_outcome(decision.outcome, cust, prov)
-                stable_truth[t] = stability_inequalities_hold(truth_sub, judged, stability_eps)
-            else:
-                stable_truth[t] = is_stable_tu(truth_sub, sub_outcome, 0.0)
+            judged = _restrict_outcome(decision.outcome, cust, prov)
+            stable_truth[t] = stability_inequalities_hold(truth_sub, judged, stability_eps)
+        else:
+            # One gain matrix gives the value and the is_stable_tu flag.
+            inst, stable_truth[t] = subset_instability_and_stability(truth_sub, sub_outcome)
 
         cols["instability"][t] = inst
         cols["width_sum"][t] = decision.width_sum

@@ -31,6 +31,7 @@ from .market import (
     assignment_pairs,
     assignment_with_duals,
     customer,
+    payoff_inequalities_hold,
     provider,
 )
 
@@ -61,20 +62,17 @@ class NtuInstabilityReport:
     subsidies_providers: np.ndarray
 
 
-def _blocking_gains(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Net payoffs q and the pair gain matrix g_ij = joint(i,j) - q_i - q_j."""
-    q_c, q_p = outcome.net_payoffs(u)
-    g = u.joint() - q_c[:, None] - q_p[None, :]
-    return q_c, q_p, g
-
-
-def _reduced_gains(u: UtilityMatrix, outcome: MarketOutcome):
-    """Pair gains g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j.
-
-    Raises InvalidOutcome unless the outcome's transfers are zero-sum.
-    """
+def _zero_sum_payoffs(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Net payoffs q and the joint weights; InvalidOutcome unless the
+    outcome's transfers are zero-sum."""
     outcome.check_zero_sum()
-    q_c, q_p, g = _blocking_gains(u, outcome)
+    q_c, q_p = outcome.net_payoffs(u)
+    return q_c, q_p, u.joint()
+
+
+def _reduced_gains(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray):
+    """Pair gains g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j."""
+    g = joint - q_c[:, None] - q_p[None, :]
     f_c = np.maximum(0.0, -q_c)
     f_p = np.maximum(0.0, -q_p)
     return g, f_c, f_p, g - f_c[:, None] - f_p[None, :]
@@ -93,12 +91,29 @@ def _instability_value(g: np.ndarray, f_c: np.ndarray, f_p: np.ndarray, rows, co
     return max(0.0, float(terms.sum()))
 
 
-def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
-    """Value-only fast path of :func:`subset_instability`."""
-    g, f_c, f_p, h = _reduced_gains(u, outcome)
+def _value_of_reduced(g: np.ndarray, f_c: np.ndarray, f_p: np.ndarray, h: np.ndarray) -> float:
+    """The metric from one rectangular max-weight solve of the reduced gains."""
     rows, cols = linear_sum_assignment(np.maximum(h, 0.0), maximize=True)
     keep = h[rows, cols] > 0.0
     return _instability_value(g, f_c, f_p, rows[keep], cols[keep])
+
+
+def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
+    """Value-only fast path of :func:`subset_instability`."""
+    return _value_of_reduced(*_reduced_gains(*_zero_sum_payoffs(u, outcome)))
+
+
+def subset_instability_and_stability(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, bool]:
+    """``(subset_instability_value(u, outcome), is_stable_tu(u, outcome))``
+    from one zero-sum check, one net-payoff pass and one joint matrix.
+
+    The flag applies the tests of :func:`is_stable_tu` to the same payoffs
+    and joint weights in the same order, so both results are bitwise those
+    of the two separate calls.
+    """
+    q_c, q_p, joint = _zero_sum_payoffs(u, outcome)
+    value = _value_of_reduced(*_reduced_gains(q_c, q_p, joint))
+    return value, payoff_inequalities_hold(q_c, q_p, joint)
 
 
 def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityReport:
@@ -110,7 +125,7 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     positive floor violate individual rationality, and together they form the
     witness coalition; its dual prices t give the optimal subsidies f + t.
     """
-    g, f_c, f_p, h = _reduced_gains(u, outcome)
+    g, f_c, f_p, h = _reduced_gains(*_zero_sum_payoffs(u, outcome))
     pairs, t_c, t_p = assignment_with_duals(h)
     rows = np.array([i for i, _ in pairs], dtype=int)
     cols = np.array([j for _, j in pairs], dtype=int)
@@ -158,7 +173,8 @@ def coalition_deviation(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[Match
     improve; opted-out agents go unmatched at transfer zero.
     """
     report = subset_instability(u, outcome)
-    q_c, q_p, g = _blocking_gains(u, outcome)
+    q_c, q_p = outcome.net_payoffs(u)
+    g = _reduced_gains(q_c, q_p, u.joint())[0]
     tau_c = np.zeros(u.num_customers)
     tau_p = np.zeros(u.num_providers)
     for i, j in report.blocking_pairs:

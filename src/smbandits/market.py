@@ -129,9 +129,12 @@ class Matching:
         idx.flags.writeable = False
         return idx[:, 0], idx[:, 1]
 
-    def total_utility(self, u: UtilityMatrix) -> float:
-        joint = u.joint()
+    def weight(self, joint: np.ndarray) -> float:
+        """Sum of ``joint`` over the pairs, added left to right in pair order."""
         return float(sum(joint[i, j] for i, j in self.pairs))
+
+    def total_utility(self, u: UtilityMatrix) -> float:
+        return self.weight(u.joint())
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,24 @@ class MarketOutcome:
         raise InvalidOutcome(f"unmatched provider {int(np.argmax(bad[n_c:]))} has nonzero transfer")
 
 
+def _positive_assignment(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clipped weights ``w = max(joint, 0)`` and the matched rows and cols of
+    one rectangular maximum-weight solve on ``w``, kept where the weight is
+    positive."""
+    w = np.maximum(joint, 0.0)
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    keep = joint[rows, cols] > 0.0
+    return w, rows[keep], cols[keep]
+
+
 def assignment_pairs(joint: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight bipartite matching; agents may stay unmatched at zero.
 
     One rectangular solve on the clipped weights. Edges with weight <= 0 are
     never used.
     """
-    rows, cols = linear_sum_assignment(np.maximum(joint, 0.0), maximize=True)
-    return [(int(i), int(j)) for i, j in zip(rows, cols) if joint[i, j] > 0.0]
+    _, rows, cols = _positive_assignment(joint)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def assignment_with_duals(joint: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -213,21 +226,27 @@ def assignment_with_duals(joint: np.ndarray) -> tuple[list[tuple[int, int]], np.
     with ``p >= 0``, ``p_i + p_j >= max(joint[i, j], 0)`` for all pairs,
     equality on matched pairs, and ``p = 0`` on unmatched agents.
     """
-    n_c, n_p = joint.shape
-    pairs = assignment_pairs(joint)
-    if not pairs:
-        return [], np.zeros(n_c), np.zeros(n_p)
-    p_c, p_p = _duals_for_matching(np.maximum(joint, 0.0), pairs)
-    return pairs, p_c, p_p
+    w, rows, cols = _positive_assignment(joint)
+    p_c, p_p = _duals_for_matching(w, rows, cols)
+    return list(zip(rows.tolist(), cols.tolist())), p_c, p_p
 
 
-def _duals_for_matching(w: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+def certified_duals(joint: np.ndarray, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """The dual prices of :func:`assignment_with_duals` for ``matching``, a
+    maximum-weight matching of ``joint`` found by :func:`assignment_pairs`,
+    without solving again."""
+    ci, pj = matching.index_arrays
+    return _duals_for_matching(np.maximum(joint, 0.0), ci, pj)
+
+
+def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dual prices supporting an optimal matching of nonnegative weights ``w``.
 
-    Unmatched agents are pinned at zero (complementary slackness). For matched
-    pair k the customer price x_k determines the provider price w_k - x_k, and
+    The matching pairs customer ``ci[k]`` with provider ``pj[k]``. Unmatched
+    agents are pinned at zero (complementary slackness). For matched pair k
+    the customer price x_k determines the provider price w_k - x_k, and
     feasibility against all other edges becomes a shortest-path problem. The
-    system of difference constraints is feasible exactly when ``pairs`` is
+    system of difference constraints is feasible exactly when the matching is
     optimal for ``w``. The result is checked against every dual constraint,
     to a tolerance relative to the largest weight, and UncertifiedDuals is
     raised when the check fails.
@@ -235,17 +254,16 @@ def _duals_for_matching(w: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np
     n_c, n_p = w.shape
     p_c = np.zeros(n_c)
     p_p = np.zeros(n_p)
-    if not pairs:
+    k = len(ci)
+    if not k:
         return p_c, p_p
 
-    ci = np.array([i for i, _ in pairs])
-    pj = np.array([j for _, j in pairs])
     wk = w[ci, pj]
 
     # Start from the upper bounds x_k <= w_k (p_p >= 0) and x_k <= w_k - w[i, j_k]
     # over unmatched customers i; the lower bounds are left to the certificate.
     x = wk.copy()
-    if len(pairs) < n_c:
+    if k < n_c:
         free_c = np.ones(n_c, dtype=bool)
         free_c[ci] = False
         x -= w[free_c][:, pj].max(axis=0)
@@ -254,7 +272,7 @@ def _duals_for_matching(w: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np
     # weight -(w[i_k, j_l] - w_l) in a shortest-path relaxation from there.
     edge = -(w[ci][:, pj] - wk[None, :])
     np.fill_diagonal(edge, np.inf)
-    for _ in range(len(pairs)):
+    for _ in range(k):
         new_x = np.minimum(x, np.min(x[:, None] + edge, axis=0))
         if (new_x == x).all():
             break
@@ -315,7 +333,7 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
         modified = joint.copy()
         modified[edge] = _FORBIDDEN
         m = Matching(assignment_pairs(modified))
-        candidates.append((m.total_utility(u), m))
+        candidates.append((m.weight(joint), m))
 
     matched_c = {i for i, _ in best.pairs}
     matched_p = {j for _, j in best.pairs}
@@ -324,7 +342,7 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
     if free_c and free_p:
         a, b = divmod(int(np.argmax(joint[np.ix_(free_c, free_p)])), len(free_p))
         m = Matching(best.pairs + ((free_c[a], free_p[b]),))
-        candidates.append((m.total_utility(u), m))
+        candidates.append((m.weight(joint), m))
 
     if not candidates:
         raise NoAlternative("no matching other than the given one exists")
@@ -341,12 +359,19 @@ def stability_inequalities_hold(u: UtilityMatrix, outcome: MarketOutcome, eps: f
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     q_c, q_p = outcome.net_payoffs(u)
+    return payoff_inequalities_hold(q_c, q_p, u.joint(), eps)
+
+
+def payoff_inequalities_hold(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray, eps: float = 0.0) -> bool:
+    """The tests of :func:`stability_inequalities_hold` on net payoffs ``q``
+    and joint weights: every q_a >= -eps - TOL, and every
+    q_i + q_j - joint(i, j) + 2*eps >= -TOL."""
     if q_c.size and q_c.min() < -eps - TOL:
         return False
     if q_p.size and q_p.min() < -eps - TOL:
         return False
     if q_c.size and q_p.size:
-        slack = q_c[:, None] + q_p[None, :] - u.joint() + 2.0 * eps
+        slack = q_c[:, None] + q_p[None, :] - joint + 2.0 * eps
         if slack.min() < -TOL:
             return False
     return True

@@ -24,6 +24,7 @@ from .market import (
     UtilityMatrix,
     assignment_pairs,
     assignment_with_duals,
+    certified_duals,
     second_best_matching,
 )
 
@@ -77,12 +78,13 @@ def expanded_upper_bounds(conf: ConfidenceSets) -> UtilityMatrix:
 def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[MarketOutcome, dict]:
     """Gap-aware variant selecting robust dual prices.
 
-    On the original upper bounds it computes the best matching, the gap to the
-    second-best matching, and duals for a perturbed utility that shaves
-    gap/|A| off every matched edge endpoint; adding gap/|A| back to the duals
-    yields an optimal-but-robust primal-dual pair. A second pair is computed
-    on the doubled-width sets; when the two matchings disagree, the
-    doubled-set outcome is played. A zero gap falls back to compute_match.
+    On the original upper bounds it computes the best matching and the gap to
+    the second-best matching; a zero gap falls back to compute_match. When the
+    best matching of the doubled-width sets differs, the doubled-set outcome
+    is played, with that matching's duals. Otherwise the duals come from a
+    perturbed utility that shaves gap/|A| off every matched edge endpoint;
+    adding gap/|A| back to them yields an optimal-but-robust primal-dual pair.
+    Only the played branch builds duals: one dual pass per call.
     """
     cust, prov = arrivals
     n_c, n_p = conf.num_customers, conf.num_providers
@@ -92,14 +94,23 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     if len(cust) == 0 or len(prov) == 0:
         return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
 
-    x_star = Matching(assignment_pairs(ucb.joint()))
+    joint = ucb.joint()
+    x_star = Matching(assignment_pairs(joint))
     try:
         _, second_weight = second_best_matching(ucb, x_star)
     except NoAlternative:
         return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
-    gap = x_star.total_utility(ucb) - second_weight
+    gap = x_star.weight(joint) - second_weight
     if gap <= TOL:
         return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
+
+    ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
+    joint2 = ucb2.joint()
+    x_expanded = Matching(assignment_pairs(joint2))
+    if x_expanded.pairs != x_star.pairs:
+        p2_c, p2_p = certified_duals(joint2, x_expanded)
+        outcome = _outcome_from_duals(ucb2, x_expanded.pairs, p2_c, p2_p, cust, prov, n_c, n_p)
+        return outcome, {"branch": "expanded", "gap": gap}
 
     # Perturbed utilities: matched-edge entries reduced by gap/|A| per side.
     shave = gap / n_arrived
@@ -109,19 +120,10 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
         u_prime_c[i, j] -= shave
         u_prime_p[j, i] -= shave
     u_prime = UtilityMatrix(u_prime_c, u_prime_p)
-    _, pp_c, pp_p = assignment_with_duals(u_prime.joint())
-    p_c = pp_c.copy()
-    p_p = pp_p.copy()
+    _, p_c, p_p = assignment_with_duals(u_prime.joint())
     for i, j in x_star.pairs:
         p_c[i] += shave
         p_p[j] += shave
-
-    ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
-    pairs2, p2_c, p2_p = assignment_with_duals(ucb2.joint())
-
-    if set(pairs2) != set(x_star.pairs):
-        outcome = _outcome_from_duals(ucb2, pairs2, p2_c, p2_p, cust, prov, n_c, n_p)
-        return outcome, {"branch": "expanded", "gap": gap}
     outcome = _outcome_from_duals(ucb, x_star.pairs, p_c, p_p, cust, prov, n_c, n_p)
     return outcome, {"branch": "robust", "gap": gap}
 
@@ -173,6 +175,8 @@ class RoundDecision:
     valid whenever the sets contain the truth. ``scored_outcome`` is the
     zero-sum outcome to score regret against (differs from ``outcome`` only
     for the revenue policy, whose published transfers include fees).
+    ``info`` holds policy-internal choices, e.g. the branch and gap of
+    ``match_ucb_prime``; None when the policy records none.
     """
 
     outcome: MarketOutcome
@@ -180,6 +184,7 @@ class RoundDecision:
     certified_instability_bound: float
     revenue: float
     scored_outcome: MarketOutcome = None  # type: ignore[assignment]
+    info: dict | None = None
 
     def __post_init__(self) -> None:
         if self.scored_outcome is None:
@@ -235,7 +240,7 @@ class MatchUcbPrimePolicy(Policy):
         outcome, info = compute_match_prime(self.conf, arrivals)
         w = self.conf.width_sum(outcome.matching)
         bound = 2.0 * w if info["branch"] == "expanded" else w
-        return RoundDecision(outcome, w, bound, 0.0)
+        return RoundDecision(outcome, w, bound, 0.0, info=info)
 
 
 class MatchNtuUcbPolicy(Policy):

@@ -83,13 +83,13 @@ class TestMaxWeightMatching:
 class TestDualCertificate:
     def test_non_optimal_pairs_raise(self):
         w = np.array([[2.0, 1.0], [1.0, 2.0]])
-        p_c, p_p = _duals_for_matching(w, [(0, 0), (1, 1)])
+        p_c, p_p = _duals_for_matching(w, np.array([0, 1]), np.array([0, 1]))
         assert p_c.sum() + p_p.sum() == pytest.approx(4.0, abs=1e-12)
         with pytest.raises(UncertifiedDuals):
-            _duals_for_matching(w, [(0, 1), (1, 0)])
+            _duals_for_matching(w, np.array([0, 1]), np.array([1, 0]))
         # A positive edge left between two unmatched agents.
         with pytest.raises(UncertifiedDuals):
-            _duals_for_matching(np.array([[1.0, 0.0], [0.0, 1.0]]), [(0, 0)])
+            _duals_for_matching(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]), np.array([0]))
 
 
 class TestSecondBest:

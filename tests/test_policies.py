@@ -143,6 +143,31 @@ class TestComputeMatchPrime:
         assert is_stable_tu(u, outcome, 0.0)
 
 
+    def test_policy_records_branch_and_gap(self):
+        rng = np.random.default_rng(45)
+        truth = random_market(rng, 3, 3)
+        feedback = echo_feedback(truth)
+        conf = init_confidence(Mode.UNSTRUCTURED, 3, 3, config=ConfidenceConfig(ucb_scale=1.0))
+        policy = MatchUcbPrimePolicy(conf, horizon=200)
+        branches = set()
+        for _ in range(80):
+            expected_outcome, expected_info = compute_match_prime(policy.conf, all_arrivals(3, 3))
+            decision = policy.step(all_arrivals(3, 3), feedback)
+            assert decision.info == expected_info
+            assert set(decision.info) == {"branch", "gap"}
+            assert decision.outcome.matching.pairs == expected_outcome.matching.pairs
+            expanded = decision.info["branch"] == "expanded"
+            assert decision.certified_instability_bound == (2.0 if expanded else 1.0) * decision.width_sum
+            branches.add(decision.info["branch"])
+        assert "robust" in branches and len(branches) >= 2
+
+    def test_other_policies_record_no_info(self):
+        truth = random_market(np.random.default_rng(46), 2, 2)
+        for cls in (MatchUcbPolicy, MatchNtuUcbPolicy, EtcPolicy):
+            policy = cls(init_confidence(Mode.UNSTRUCTURED, 2, 2), horizon=10)
+            assert policy.step(all_arrivals(2, 2), echo_feedback(truth)).info is None
+
+
 class TestComputeMatchNtu:
     def test_example_market_unique_stable_matching(self):
         u = UtilityMatrix(np.array([[0.1, 0.2]]), np.array([[1.0], [0.5]]))
