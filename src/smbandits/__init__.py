@@ -27,7 +27,6 @@ from .instability import (
     NtuInstabilityReport,
     max_unhappiness_coalition,
     min_stabilizing_subsidy,
-    ntu_instability_upper_bound,
     ntu_subset_instability,
     ntu_subset_instability_bruteforce,
     subset_instability,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidContext, ProtocolViolation
-from .market import AgentId, Matching, Side, UtilityMatrix
+from .market import Matching, Side, UtilityMatrix
 
 
 class Mode(enum.Enum):
@@ -48,6 +48,18 @@ class ConfidenceConfig:
     lin_beta_d_coeff: float = 4.0
     lin_beta_log_coeff: float = 8.0
     lin_ridge: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Finite constants, a nonnegative radius and a positive ridge keep
+        # every interval finite. Messages start with the field name.
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite")
+        for name in ("lin_beta_d_coeff", "lin_beta_log_coeff"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be nonnegative")
+        if self.lin_ridge <= 0:
+            raise ValueError("lin_ridge: must be positive")
 
 
 def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,9 +103,14 @@ class ConfidenceSets:
                 f"feedback shapes {np.shape(r_c)} / {np.shape(r_p)} do not match "
                 f"the {expected[0]} matched pairs"
             )
+        r_c = np.asarray(r_c, dtype=float)
+        r_p = np.asarray(r_p, dtype=float)
+        # Checked here, where they enter: the round's matrices are not checked.
+        if not all(map(math.isfinite, r_c.tolist() + r_p.tolist())):
+            raise ProtocolViolation("feedback holds a non-finite reward")
         if expected[0]:
             ci, pj = matching.index_arrays
-            self._apply(ci, pj, np.asarray(r_c, dtype=float), np.asarray(r_p, dtype=float), horizon)
+            self._apply(ci, pj, r_c, r_p, horizon)
 
     def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
         """Fold rewards of the disjoint pairs (ci[k], pj[k]) into the intervals."""
@@ -101,16 +118,7 @@ class ConfidenceSets:
 
     # -- projections ----------------------------------------------------------
     def ucb_matrix(self) -> UtilityMatrix:
-        return UtilityMatrix(self.hi_c.copy(), self.hi_p.copy())
-
-    def interval(self, agent: AgentId, partner: AgentId) -> tuple[float, float]:
-        if agent.side is Side.CUSTOMER:
-            return float(self.lo_c[agent.index, partner.index]), float(self.hi_c[agent.index, partner.index])
-        return float(self.lo_p[agent.index, partner.index]), float(self.hi_p[agent.index, partner.index])
-
-    def width(self, agent: AgentId, partner: AgentId) -> float:
-        lo, hi = self.interval(agent, partner)
-        return hi - lo
+        return UtilityMatrix._trusted(self.hi_c.copy(), self.hi_p.copy())
 
     def width_sum(self, matching: Matching) -> float:
         """Total width over both orientations of each matched pair."""
@@ -134,28 +142,15 @@ class ConfidenceSets:
         pairs = []
         for i in range(self.num_customers):
             for j in range(self.num_providers):
-                pairs.append(
-                    {
-                        "side": "customer",
-                        "agent": i,
-                        "partner": j,
-                        "lo": float(self.lo_c[i, j]),
-                        "hi": float(self.hi_c[i, j]),
-                        "n": self._pair_count(i, j),
-                        "mean": self._pair_mean(Side.CUSTOMER, i, j),
-                    }
-                )
-                pairs.append(
-                    {
-                        "side": "provider",
-                        "agent": j,
-                        "partner": i,
-                        "lo": float(self.lo_p[j, i]),
-                        "hi": float(self.hi_p[j, i]),
-                        "n": self._pair_count(i, j),
-                        "mean": self._pair_mean(Side.PROVIDER, j, i),
-                    }
-                )
+                n = self._pair_count(i, j)
+                for side, a, b, lo, hi in (
+                    (Side.CUSTOMER, i, j, self.lo_c, self.hi_c),
+                    (Side.PROVIDER, j, i, self.lo_p, self.hi_p),
+                ):
+                    pairs.append(
+                        {"side": side.value, "agent": a, "partner": b, "lo": float(lo[a, b]),
+                         "hi": float(hi[a, b]), "n": n, "mean": self._pair_mean(side, a, b)}
+                    )
         return {"mode": self.mode.value, "pairs": pairs}
 
     def _pair_count(self, i: int, j: int) -> int:
@@ -309,6 +304,8 @@ class LinearConfidence(ConfidenceSets):
         pc = np.asarray(provider_contexts, dtype=float)
         if cc.ndim != 2 or pc.ndim != 2 or cc.shape[1] != pc.shape[1]:
             raise InvalidContext("contexts must be 2-d with a common dimension")
+        if not (np.isfinite(cc).all() and np.isfinite(pc).all()):
+            raise InvalidContext("contexts must be finite")
         norms = [np.linalg.norm(cc, axis=1), np.linalg.norm(pc, axis=1)]
         if any(n.size and n.max() > 1.0 + 1e-12 for n in norms):
             raise InvalidContext("context norm exceeds 1")

@@ -7,6 +7,7 @@ messages point at the offending key path.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -65,15 +66,18 @@ def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
     _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
     if ntu:
         _require(kind == "match_ntu_ucb", f"{path}.kind", "ntu experiments use match_ntu_ucb")
-    conf = ConfidenceConfig(
-        ucb_scale=float(obj.get("ucb_scale", 8.0)),
-        lin_beta_d_coeff=float(obj.get("lin_beta_d_coeff", 4.0)),
-        lin_beta_log_coeff=float(obj.get("lin_beta_log_coeff", 8.0)),
-        lin_ridge=float(obj.get("lin_ridge", 1.0)),
-    )
+    try:
+        conf = ConfidenceConfig(
+            ucb_scale=float(obj.get("ucb_scale", 8.0)),
+            lin_beta_d_coeff=float(obj.get("lin_beta_d_coeff", 4.0)),
+            lin_beta_log_coeff=float(obj.get("lin_beta_log_coeff", 8.0)),
+            lin_ridge=float(obj.get("lin_ridge", 1.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
     epsilon = float(obj.get("epsilon", 0.3))
     if kind == "revenue_frictions":
-        _require(epsilon > 0, f"{path}.epsilon", "must be positive")
+        _require(0 < epsilon < math.inf, f"{path}.epsilon", "must be positive and finite")
     return PolicySpec(
         kind=kind,
         confidence=conf,
@@ -128,7 +132,7 @@ def _parse_noise(obj: dict, path: str) -> NoiseSpec:
     kind = obj.get("kind", "gaussian")
     _require(kind in ("gaussian", "bernoulli"), f"{path}.kind", "must be gaussian|bernoulli")
     sigma = float(obj.get("sigma", 1.0))
-    _require(sigma >= 0, f"{path}.sigma", "must be nonnegative")
+    _require(math.isfinite(sigma) and sigma >= 0, f"{path}.sigma", "must be finite and nonnegative")
     return NoiseSpec(kind=kind, sigma=sigma)
 
 

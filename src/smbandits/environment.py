@@ -427,11 +427,11 @@ def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray
     """Reindex an outcome onto the arrival submarket."""
     if len(cust) == len(outcome.customer_transfers) and len(prov) == len(outcome.provider_transfers):
         return outcome
-    c_pos = {int(g): k for k, g in enumerate(cust)}
-    p_pos = {int(g): k for k, g in enumerate(prov)}
-    pairs = [(c_pos[i], p_pos[j]) for i, j in outcome.matching.pairs]
+    c_pos = {g: k for k, g in enumerate(cust.tolist())}
+    p_pos = {g: k for k, g in enumerate(prov.tolist())}
+    pairs = tuple([(c_pos[i], p_pos[j]) for i, j in outcome.matching.pairs])
     return MarketOutcome(
-        Matching(pairs),
+        Matching._from_disjoint(pairs),
         outcome.customer_transfers[cust],
         outcome.provider_transfers[prov],
     )

@@ -31,6 +31,7 @@ from .market import (
     assignment_pairs,
     assignment_with_duals,
     customer,
+    ntu_gains,
     payoff_inequalities_hold,
     provider,
 )
@@ -127,8 +128,7 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     """
     g, f_c, f_p, h = _reduced_gains(*_zero_sum_payoffs(u, outcome))
     pairs, t_c, t_p = assignment_with_duals(h)
-    rows = np.array([i for i, _ in pairs], dtype=int)
-    cols = np.array([j for _, j in pairs], dtype=int)
+    rows, cols = Matching._from_disjoint(tuple(pairs)).index_arrays
     value = _instability_value(g, f_c, f_p, rows, cols)
 
     blocking = {(i, j) for i, j in pairs if g[i, j] > TOL}
@@ -229,23 +229,14 @@ def subset_instability_bruteforce(u: UtilityMatrix, outcome: MarketOutcome) -> f
     return best
 
 
-def _ntu_match_values(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-    mu_c = np.zeros(u.num_customers)
-    mu_p = np.zeros(u.num_providers)
-    for i, j in matching.pairs:
-        mu_c[i] = u.customer_values[i, j]
-        mu_p[j] = u.provider_values[j, i]
-    return mu_c, mu_p
-
-
-def _ntu_candidates(gain_c: np.ndarray, ir_c: np.ndarray) -> list[np.ndarray]:
-    """Per-customer candidate subsidy levels: thresholds where constraints flip."""
+def _ntu_candidates(gain_c: np.ndarray, ir_c: np.ndarray) -> list[list[float]]:
+    """Per-customer candidate subsidy levels: thresholds where constraints flip.
+    Each list holds at least the customer's floor ``ir_c[i]``."""
     out = []
-    for i in range(gain_c.shape[0]):
-        vals = {0.0, float(ir_c[i])}
-        vals.update(max(0.0, float(v)) for v in gain_c[i])
-        cands = sorted(v for v in vals if v >= ir_c[i] - 1e-15)
-        out.append(np.array(cands))
+    for row, ir in zip(gain_c.tolist(), ir_c.tolist()):
+        vals = {0.0, ir}
+        vals.update([max(0.0, v) for v in row])
+        out.append(sorted([v for v in vals if v >= ir - 1e-15]))
     return out
 
 
@@ -269,17 +260,14 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
     n_c, n_p = u.num_customers, u.num_providers
     if n_c > _NTU_EXACT_MAX_CUSTOMERS:
         raise TooLarge(f"exact NTU solver is limited to {_NTU_EXACT_MAX_CUSTOMERS} customers")
-    mu_c, mu_p = _ntu_match_values(u, matching)
-    ir_c = np.maximum(0.0, -mu_c)
-    ir_p = np.maximum(0.0, -mu_p)
-    gain_c = u.customer_values - mu_c[:, None]
-    gain_p = u.provider_values.T - mu_p[None, :]
+    mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
+    ir_c, ir_p = np.maximum(0.0, -mu_c), np.maximum(0.0, -mu_p)
 
     if n_p == 0 or n_c == 0:
         return NtuInstabilityReport(float(ir_c.sum() + ir_p.sum()), ir_c, ir_p)
 
     candidates = _ntu_candidates(gain_c, ir_c)
-    min_rest = np.array([min(c) if c.size else 0.0 for c in candidates])
+    min_rest = np.array([min(c) for c in candidates])
     tail_min = np.concatenate([np.cumsum(min_rest[::-1])[::-1], [0.0]])
     provider_floor = float(ir_p.sum())
 
@@ -300,7 +288,7 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
             return
         for v in candidates[i]:
             stack_sc[i] = v
-            dfs(i + 1, partial + float(v))
+            dfs(i + 1, partial + v)
 
     dfs(0, 0.0)
     s_c = best_sc
@@ -317,11 +305,8 @@ def ntu_subset_instability_bruteforce(u: UtilityMatrix, matching: Matching) -> f
     n_c, n_p = u.num_customers, u.num_providers
     if n_c > _NTU_BRUTE_MAX_SIDE or n_p > _NTU_BRUTE_MAX_SIDE:
         raise TooLarge(f"NTU oracle is limited to {_NTU_BRUTE_MAX_SIDE} agents per side")
-    mu_c, mu_p = _ntu_match_values(u, matching)
-    ir_c = np.maximum(0.0, -mu_c)
-    ir_p = np.maximum(0.0, -mu_p)
-    gain_c = u.customer_values - mu_c[:, None]
-    gain_p = u.provider_values.T - mu_p[None, :]
+    mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
+    ir_c, ir_p = np.maximum(0.0, -mu_c), np.maximum(0.0, -mu_p)
 
     if n_p == 0 or n_c == 0:
         return float(ir_c.sum() + ir_p.sum())
@@ -342,12 +327,3 @@ def ntu_subset_instability_bruteforce(u: UtilityMatrix, matching: Matching) -> f
             best = min(best, float(s_c.sum() + s_p.sum()))
     return best
 
-
-def ntu_instability_upper_bound(conf, matching: Matching) -> float:
-    """Certified bound: total confidence width over matched agents.
-
-    Valid whenever the matching is stable for the upper-confidence utilities
-    and the sets contain the truth; subsidizing every matched agent up to its
-    upper bound silences all blocking pairs.
-    """
-    return conf.width_sum(matching)

@@ -24,6 +24,8 @@ _DUAL_RTOL = 1e-9
 
 _FORBIDDEN = -np.inf
 
+_new = object.__new__
+
 
 class Side(enum.Enum):
     CUSTOMER = "customer"
@@ -34,9 +36,6 @@ class Side(enum.Enum):
 class AgentId:
     side: Side
     index: int
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.side.value, self.index)
 
     def __repr__(self) -> str:
         return f"{'C' if self.side is Side.CUSTOMER else 'P'}{self.index}"
@@ -73,6 +72,13 @@ class UtilityMatrix:
         object.__setattr__(self, "customer_values", cv)
         object.__setattr__(self, "provider_values", pv)
 
+    @classmethod
+    def _trusted(cls, customer_values: np.ndarray, provider_values: np.ndarray) -> UtilityMatrix:
+        """A matrix of finite float arrays of transposed shapes, unchecked."""
+        u = _new(cls)
+        u.__dict__.update(customer_values=customer_values, provider_values=provider_values)
+        return u
+
     @property
     def num_customers(self) -> int:
         return self.customer_values.shape[0]
@@ -90,12 +96,13 @@ class UtilityMatrix:
         return self.customer_values + self.provider_values.T
 
     def restrict(self, customers: np.ndarray, providers: np.ndarray) -> UtilityMatrix:
-        """Submarket on the given (sorted) index arrays."""
+        """Submarket on the given index arrays, in their order; arrays as long
+        as the market are taken to list every agent in index order."""
         if len(customers) == self.num_customers and len(providers) == self.num_providers:
             return self
-        return UtilityMatrix(
-            self.customer_values[np.ix_(customers, providers)],
-            self.provider_values[np.ix_(providers, customers)],
+        return UtilityMatrix._trusted(
+            self.customer_values.take(customers, 0).take(providers, 1),
+            self.provider_values.take(providers, 0).take(customers, 1),
         )
 
     def scaled(self, factor: float) -> UtilityMatrix:
@@ -115,6 +122,18 @@ class Matching:
         if len(set(customers)) != len(customers) or len(set(providers)) != len(providers):
             raise ValueError("matching pairs are not disjoint")
         object.__setattr__(self, "pairs", normalized)
+
+    @classmethod
+    def _from_disjoint(cls, pairs: tuple[tuple[int, int], ...]) -> Matching:
+        """A matching of int pairs disjoint by construction: solver output, or
+        solver output lifted through arrival indices. Kept as given when
+        sorted, as solver output and increasing arrivals keep it, else sorted
+        by the checked constructor."""
+        if all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])):
+            m = _new(cls)
+            m.__dict__["pairs"] = pairs
+            return m
+        return cls(pairs)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -258,33 +277,38 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
     if not k:
         return p_c, p_p
 
-    wk = w[ci, pj]
+    sub = w.take(ci, 0).take(pj, 1)  # sub[k, l] = w[i_k, j_l]
+    wk = sub.diagonal()
 
     # Start from the upper bounds x_k <= w_k (p_p >= 0) and x_k <= w_k - w[i, j_k]
     # over unmatched customers i; the lower bounds are left to the certificate.
-    x = wk.copy()
+    x = wk
     if k < n_c:
         free_c = np.ones(n_c, dtype=bool)
         free_c[ci] = False
-        x -= w[free_c][:, pj].max(axis=0)
+        x = wk - w.take(pj, 1)[free_c].max(axis=0)
 
-    # Cross constraints x_k - x_l >= w[i_k, j_l] - w_l become edges k -> l of
-    # weight -(w[i_k, j_l] - w_l) in a shortest-path relaxation from there.
-    edge = -(w[ci][:, pj] - wk[None, :])
-    np.fill_diagonal(edge, np.inf)
+    # Cross constraints x_k - x_l >= w[i_k, j_l] - w_l = d[k, l] give the
+    # shortest-path relaxation x_l <- min(x_l, min_{k != l} x_k - d[k, l]);
+    # d[l, l] = -inf leaves out k = l. Small vectors compare as lists.
+    d = sub - wk
+    d.ravel()[:: k + 1] = -np.inf
+    xl = x.tolist()
     for _ in range(k):
-        new_x = np.minimum(x, np.min(x[:, None] + edge, axis=0))
-        if (new_x == x).all():
+        new_x = np.minimum(x, (x[:, None] - d).min(axis=0))
+        new_xl = new_x.tolist()
+        if new_xl == xl:
             break
-        x = new_x
+        x, xl = new_x, new_xl
 
-    # Certificate: p >= 0, p_i + p_j >= w_ij, equality on matched pairs. The
-    # provider prices w_k - x_k are nonnegative by construction, as x <= w_k.
+    # Certificate: p >= 0, p_i + p_j >= w_ij, and equality on matched pairs,
+    # whose slack is x_k + (w_k - x_k) - w_k. The provider prices w_k - x_k
+    # are nonnegative by construction, as x <= w_k.
     p_c[ci] = x
     p_p[pj] = wk - x
-    slack = p_c[:, None] + p_p[None, :] - w
+    slack = p_c[:, None] + p_p - w
     tol = _DUAL_RTOL * w.max()
-    if x.min() < -tol or slack.min() < -tol or slack[ci, pj].max() > tol:
+    if min(xl) < -tol or slack.min() < -tol or max([a + (b - a) - b for a, b in zip(xl, wk.tolist())]) > tol:
         raise UncertifiedDuals(f"no dual prices certify the matching to tolerance {tol:.3g}")
     # Within that tolerance, customer prices round to the sign constraint.
     np.maximum(p_c, 0.0, out=p_c)
@@ -298,7 +322,7 @@ def max_weight_matching_with_duals(u: UtilityMatrix) -> tuple[Matching, DualPric
     slack with the returned matching, and sum to its weight.
     """
     pairs, p_c, p_p = assignment_with_duals(u.joint())
-    return Matching(pairs), DualPrices(p_c, p_p)
+    return Matching._from_disjoint(tuple(pairs)), DualPrices(p_c, p_p)
 
 
 def stable_outcome_from_duals(u: UtilityMatrix, matching: Matching, prices: DualPrices) -> MarketOutcome:
@@ -332,7 +356,7 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
     for edge in best.pairs:
         modified = joint.copy()
         modified[edge] = _FORBIDDEN
-        m = Matching(assignment_pairs(modified))
+        m = Matching._from_disjoint(tuple(assignment_pairs(modified)))
         candidates.append((m.weight(joint), m))
 
     matched_c = {i for i, _ in best.pairs}
@@ -388,18 +412,21 @@ def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> 
     return stability_inequalities_hold(u, outcome, eps)
 
 
-def is_stable_ntu(u: UtilityMatrix, matching: Matching) -> bool:
-    """Stability without transfers: IR plus no pair where both strictly gain."""
+def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Matched utilities ``mu`` (zero when unmatched) and each side's gain
+    from every pair over them: ``gain_c[i, j] = u_i(j) - mu_i`` and
+    ``gain_p[i, j] = u_j(i) - mu_j``, both shaped (customers, providers)."""
     mu_c = np.zeros(u.num_customers)
     mu_p = np.zeros(u.num_providers)
     for i, j in matching.pairs:
         mu_c[i] = u.customer_values[i, j]
         mu_p[j] = u.provider_values[j, i]
+    return mu_c, mu_p, u.customer_values - mu_c[:, None], u.provider_values.T - mu_p[None, :]
+
+
+def is_stable_ntu(u: UtilityMatrix, matching: Matching) -> bool:
+    """Stability without transfers: IR plus no pair where both strictly gain."""
+    mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
     if (mu_c.size and mu_c.min() < -TOL) or (mu_p.size and mu_p.min() < -TOL):
         return False
-    if u.num_customers and u.num_providers:
-        gain_c = u.customer_values - mu_c[:, None]
-        gain_p = u.provider_values.T - mu_p[None, :]
-        if np.minimum(gain_c, gain_p).max() > TOL:
-            return False
-    return True
+    return not (gain_c.size and np.minimum(gain_c, gain_p).max() > TOL)

@@ -28,15 +28,11 @@ from .market import (
     second_best_matching,
 )
 
-Arrivals = tuple[np.ndarray, np.ndarray]  # (customer indices, provider indices)
+Arrivals = tuple[np.ndarray, np.ndarray]  # (customer indices, provider indices), each distinct
 
 
 def all_arrivals(num_customers: int, num_providers: int) -> Arrivals:
     return np.arange(num_customers), np.arange(num_providers)
-
-
-def _lift_pairs(pairs, cust: np.ndarray, prov: np.ndarray) -> list[tuple[int, int]]:
-    return [(int(cust[i]), int(prov[j])) for i, j in pairs]
 
 
 def _outcome_from_duals(
@@ -52,18 +48,19 @@ def _outcome_from_duals(
     """Global-index outcome with transfers tau_a = p_a - ucb_a(mu(a))."""
     tau_c = np.zeros(n_c)
     tau_p = np.zeros(n_p)
+    lifted = []
     for (li, lj) in pairs_local:
         gi, gj = int(cust[li]), int(prov[lj])
         tau_c[gi] = p_c[li] - ucb.customer_values[li, lj]
         tau_p[gj] = p_p[lj] - ucb.provider_values[lj, li]
-    return MarketOutcome(Matching(_lift_pairs(pairs_local, cust, prov)), tau_c, tau_p)
+        lifted.append((gi, gj))
+    return MarketOutcome(Matching._from_disjoint(tuple(lifted)), tau_c, tau_p)
 
 
 def compute_match(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
     """Stable-for-the-upper-bounds outcome on this round's arrivals."""
     cust, prov = arrivals
-    ucb_full = conf.ucb_matrix()
-    sub = ucb_full.restrict(cust, prov)
+    sub = conf.ucb_matrix().restrict(cust, prov)
     pairs, p_c, p_p = assignment_with_duals(sub.joint())
     return _outcome_from_duals(sub, pairs, p_c, p_p, cust, prov, conf.num_customers, conf.num_providers)
 
@@ -72,7 +69,7 @@ def expanded_upper_bounds(conf: ConfidenceSets) -> UtilityMatrix:
     """Upper bounds of the doubled-width sets C' (not clipped to [-1, 1])."""
     hi_c = conf.hi_c + (conf.hi_c - conf.lo_c) / 2.0
     hi_p = conf.hi_p + (conf.hi_p - conf.lo_p) / 2.0
-    return UtilityMatrix(hi_c, hi_p)
+    return UtilityMatrix._trusted(hi_c, hi_p)
 
 
 def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[MarketOutcome, dict]:
@@ -91,36 +88,32 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     n_arrived = len(cust) + len(prov)
     ucb = conf.ucb_matrix().restrict(cust, prov)
 
-    if len(cust) == 0 or len(prov) == 0:
-        return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
-
-    joint = ucb.joint()
-    x_star = Matching(assignment_pairs(joint))
-    try:
-        _, second_weight = second_best_matching(ucb, x_star)
-    except NoAlternative:
-        return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
-    gap = x_star.weight(joint) - second_weight
+    gap = 0.0
+    if len(cust) and len(prov):
+        joint = ucb.joint()
+        x_star = Matching._from_disjoint(tuple(assignment_pairs(joint)))
+        try:
+            gap = x_star.weight(joint) - second_best_matching(ucb, x_star)[1]
+        except NoAlternative:
+            pass
     if gap <= TOL:
         return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
 
     ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
     joint2 = ucb2.joint()
-    x_expanded = Matching(assignment_pairs(joint2))
+    x_expanded = Matching._from_disjoint(tuple(assignment_pairs(joint2)))
     if x_expanded.pairs != x_star.pairs:
         p2_c, p2_p = certified_duals(joint2, x_expanded)
         outcome = _outcome_from_duals(ucb2, x_expanded.pairs, p2_c, p2_p, cust, prov, n_c, n_p)
         return outcome, {"branch": "expanded", "gap": gap}
 
-    # Perturbed utilities: matched-edge entries reduced by gap/|A| per side.
+    # Perturbed utilities: matched-edge entries reduced by gap/|A| per side,
+    # so only the matched entries of the joint weights change.
     shave = gap / n_arrived
-    u_prime_c = ucb.customer_values.copy()
-    u_prime_p = ucb.provider_values.copy()
+    joint_prime = joint.copy()
     for i, j in x_star.pairs:
-        u_prime_c[i, j] -= shave
-        u_prime_p[j, i] -= shave
-    u_prime = UtilityMatrix(u_prime_c, u_prime_p)
-    _, p_c, p_p = assignment_with_duals(u_prime.joint())
+        joint_prime[i, j] = (ucb.customer_values[i, j] - shave) + (ucb.provider_values[j, i] - shave)
+    _, p_c, p_p = assignment_with_duals(joint_prime)
     for i, j in x_star.pairs:
         p_c[i] += shave
         p_p[j] += shave
@@ -137,14 +130,16 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
     """
     cust, prov = arrivals
     ucb = conf.ucb_matrix()
-    u_c = ucb.customer_values[np.ix_(cust, prov)]
-    u_p = ucb.provider_values[np.ix_(prov, cust)]
-    n_c, n_p = len(cust), len(prov)
+    # Gathered directly: restrict returns any full-size arrivals unpermuted.
+    u_c = ucb.customer_values.take(cust, 0).take(prov, 1)
+    u_p = ucb.provider_values.take(prov, 0).take(cust, 1).tolist()
+    n_c = len(cust)
 
-    pref_lists = []
-    for i in range(n_c):
-        order = sorted(range(n_p), key=lambda j: (-u_c[i, j], j))
-        pref_lists.append([j for j in order if u_c[i, j] >= 0.0])
+    # A stable argsort of -u is the (-u, j) order.
+    pref_lists = [
+        [j for j in order if row[j] >= 0.0]
+        for order, row in zip(np.argsort(-u_c, axis=1, kind="stable").tolist(), u_c.tolist())
+    ]
     next_choice = [0] * n_c
     holder: dict[int, int] = {}
     free = list(range(n_c))
@@ -153,18 +148,19 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
         while next_choice[i] < len(pref_lists[i]):
             j = pref_lists[i][next_choice[i]]
             next_choice[i] += 1
-            if u_p[j, i] < 0.0:
+            if u_p[j][i] < 0.0:
                 continue
             current = holder.get(j)
             if current is None:
                 holder[j] = i
                 break
-            if u_p[j, i] > u_p[j, current]:
+            if u_p[j][i] > u_p[j][current]:
                 holder[j] = i
                 free.insert(0, current)
                 break
         # Exhausted list: customer stays unmatched.
-    return Matching([(int(cust[i]), int(prov[j])) for j, i in holder.items()])
+    cl, pl = cust.tolist(), prov.tolist()
+    return Matching._from_disjoint(tuple(sorted([(cl[i], pl[j]) for j, i in holder.items()])))
 
 
 @dataclass

@@ -106,6 +106,11 @@ class TestConfigParsing:
                 r"config\.noise\.kind",
             ),
             ({"policy": {"kind": "etc", "etc_pulls_per_pair": -1}}, r"config\.policy\.etc_pulls_per_pair"),
+            ({"policy": {"kind": "match_ucb", "ucb_scale": float("nan")}}, r"config\.policy\.ucb_scale"),
+            ({"noise": {"kind": "gaussian", "sigma": float("inf")}}, r"config\.noise\.sigma"),
+            ({"policy": {"kind": "match_ucb", "lin_ridge": 0}}, r"config\.policy\.lin_ridge"),
+            ({"policy": {"kind": "match_ucb", "lin_beta_log_coeff": -1.0}}, r"config\.policy\.lin_beta_log_coeff"),
+            ({"policy": {"kind": "revenue_frictions", "epsilon": float("inf")}}, r"config\.policy\.epsilon"),
         ],
         ids=[
             "schedule_out_of_range",
@@ -113,6 +118,11 @@ class TestConfigParsing:
             "bernoulli_generated",
             "bernoulli_negative_truth",
             "etc_negative_pulls",
+            "ucb_scale_nan",
+            "sigma_infinite",
+            "lin_ridge_zero",
+            "lin_beta_negative",
+            "epsilon_infinite",
         ],
     )
     def test_rejected_at_parse_time_with_key_path(self, overrides, key_path):

@@ -24,7 +24,7 @@ def obs_for(matching: Matching, value: float) -> tuple[np.ndarray, np.ndarray]:
 class TestInit:
     def test_fresh_widths_are_two(self):
         conf = init_confidence(Mode.UNSTRUCTURED, 3, 4)
-        assert conf.width(customer(0), provider(3)) == 2.0
+        assert conf.hi_c[0, 3] - conf.lo_c[0, 3] == 2.0
         assert conf.width_sum(Matching([(0, 0), (1, 1)])) == 8.0
 
     def test_typed_has_one_interval_per_type_pair(self):
@@ -41,12 +41,30 @@ class TestInit:
         ctx = np.eye(2)
         conf = init_confidence(Mode.LINEAR, 2, 2, customer_contexts=ctx, provider_contexts=ctx)
         assert (conf.pulls == 0).all()
-        assert conf.width(customer(0), provider(1)) == 2.0
+        assert conf.hi_c[0, 1] - conf.lo_c[0, 1] == 2.0
 
     def test_context_outside_ball_rejected(self):
         bad = np.array([[1.0, 0.5]])
         with pytest.raises(InvalidContext):
             init_confidence(Mode.LINEAR, 1, 1, customer_contexts=bad, provider_contexts=np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_context_rejected(self, value):
+        # A NaN context would pass the norm test: nan > 1 is False.
+        good = np.array([[0.5, 0.0]])
+        bad = np.array([[value, 0.0]])
+        with pytest.raises(InvalidContext, match="finite"):
+            LinearConfidence(bad, good)
+        with pytest.raises(InvalidContext, match="finite"):
+            LinearConfidence(good, bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ucb_scale", math.nan), ("lin_beta_d_coeff", math.inf), ("lin_beta_log_coeff", -1.0), ("lin_ridge", 0.0)],
+    )
+    def test_constant_that_would_make_intervals_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ConfidenceConfig(**{field: value})
 
 
 class TestUnstructuredUpdate:
@@ -56,7 +74,7 @@ class TestUnstructuredUpdate:
         conf = UnstructuredConfidence(2, 2)
         m = Matching([(0, 0)])
         conf.update(m, obs_for(m, 0.3), horizon=100)
-        assert conf.interval(customer(0), provider(0)) == (-1.0, 1.0)
+        assert (conf.lo_c[0, 0], conf.hi_c[0, 0]) == (-1.0, 1.0)
         assert 8.0 * math.sqrt(math.log(400)) > 2.0
 
     def test_many_observations_shrink_to_formula(self):
@@ -68,7 +86,7 @@ class TestUnstructuredUpdate:
             conf.update(m, obs_for(m, 0.5), horizon=100)
         hw = 8.0 * math.sqrt(math.log(400) / 10_000)
         assert hw == pytest.approx(0.1958197465, abs=1e-9)
-        lo, hi = conf.interval(customer(0), provider(0))
+        lo, hi = conf.lo_c[0, 0], conf.hi_c[0, 0]
         assert lo == pytest.approx(0.5 - hw, abs=1e-12)
         assert hi == pytest.approx(0.5 + hw, abs=1e-12)
 
@@ -77,7 +95,7 @@ class TestUnstructuredUpdate:
         m = Matching([(0, 0)])
         for _ in range(50):
             conf.update(m, obs_for(m, 5.0), horizon=10)
-        lo, hi = conf.interval(customer(0), provider(0))
+        lo, hi = conf.lo_c[0, 0], conf.hi_c[0, 0]
         assert lo == hi == 1.0
 
     def test_nominal_width_monotone(self):
@@ -109,6 +127,20 @@ class TestUnstructuredUpdate:
         m = Matching([(0, 0)])
         with pytest.raises(ProtocolViolation):
             conf.update(m, (np.array([0.1]), np.array([])), horizon=100)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_reward_rejected_before_any_change(self, value, side):
+        conf = UnstructuredConfidence(2, 2)
+        m = Matching([(0, 0), (1, 1)])
+        conf.update(m, obs_for(m, 0.1), horizon=100)
+        state = [a.copy() for a in (conf.counts, conf.mean_c, conf.mean_p, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)]
+        rewards = list(obs_for(m, 0.3))
+        rewards[side][1] = value
+        with pytest.raises(ProtocolViolation, match="non-finite"):
+            conf.update(m, tuple(rewards), horizon=100)
+        after = (conf.counts, conf.mean_c, conf.mean_p, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)
+        assert all(np.array_equal(a, b) for a, b in zip(state, after))
 
     def test_feedback_other_than_two_arrays_rejected(self):
         conf = UnstructuredConfidence(2, 2)
@@ -156,9 +188,9 @@ class TestLinearUpdate:
             conf.update(m, (np.array([phi[j]]), np.array([0.0])), horizon=horizon)
         slot = 0
         assert np.allclose(conf.phi_hat[slot], phi, atol=0.01)
-        widths = [conf.width(customer(0), provider(j)) for j in range(2)]
+        widths = [conf.hi_c[0, j] - conf.lo_c[0, j] for j in range(2)]
         fresh = LinearConfidence(ctx_c, ctx_p, ConfidenceConfig())
-        assert all(w < fresh.width(customer(0), provider(j)) for j, w in enumerate(widths))
+        assert all(w < fresh.hi_c[0, j] - fresh.lo_c[0, j] for j, w in enumerate(widths))
 
     def test_bonus_shrinks_with_observations(self):
         rng = np.random.default_rng(11)

@@ -255,19 +255,17 @@ class TestNtuInstability:
 class TestNtuUpperBound:
     def test_width_sum_arithmetic(self):
         from smbandits.confidence import UnstructuredConfidence
-        from smbandits.instability import ntu_instability_upper_bound
 
         conf = UnstructuredConfidence(2, 2)
         # Fresh sets: every orientation has width 2, one pair contributes 4.
-        assert ntu_instability_upper_bound(conf, Matching([(0, 0)])) == 4.0
-        assert ntu_instability_upper_bound(conf, Matching([(0, 0), (1, 1)])) == 8.0
+        assert conf.width_sum(Matching([(0, 0)])) == 4.0
+        assert conf.width_sum(Matching([(0, 0), (1, 1)])) == 8.0
         conf.lo_c[0, 0], conf.hi_c[0, 0] = 0.1, 0.4
         conf.lo_p[0, 0], conf.hi_p[0, 0] = -0.2, 0.3
-        assert ntu_instability_upper_bound(conf, Matching([(0, 0)])) == pytest.approx(0.8)
+        assert conf.width_sum(Matching([(0, 0)])) == pytest.approx(0.8)
 
     def test_certifies_exact_value_under_containment(self):
         from smbandits.confidence import UnstructuredConfidence
-        from smbandits.instability import ntu_instability_upper_bound
         from smbandits.policies import all_arrivals, compute_match_ntu
 
         rng = np.random.default_rng(32)
@@ -282,6 +280,6 @@ class TestNtuUpperBound:
             conf.lo_p = truth.provider_values - off_p
             conf.hi_p = conf.lo_p + width
             matching = compute_match_ntu(conf, all_arrivals(3, 3))
-            bound = ntu_instability_upper_bound(conf, matching)
+            bound = conf.width_sum(matching)
             exact = ntu_subset_instability(truth, matching).value
             assert exact <= bound + 1e-9
