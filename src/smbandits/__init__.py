@@ -1,10 +1,11 @@
 """Matching markets with transfers, instability metrics, and UCB-style policies."""
 
-from .confidence import ConfidenceConfig, Mode, init_confidence
+from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
 from .environment import (
     ArrivalSpec,
     MarketInstance,
     NoiseSpec,
+    POLICY_KINDS,
     PolicySpec,
     RegretTrace,
     gen_hard_instance,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import environment as env
-from .config import load_config
+from .config import load_config, read_json
 from .errors import ConfigError, SmbError
 from .instability import (
     ntu_subset_instability,
@@ -95,16 +95,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
 def _utility_from_snapshot(obj: dict, path: str) -> UtilityMatrix:
     for key in ("customer_values", "provider_values"):
         if key not in obj:
@@ -134,8 +124,8 @@ def _outcome_from_json(obj: dict, path: str, n_c: int, n_p: int) -> tuple[Market
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    instance = _load_json(args.instance)
-    outcome_obj = _load_json(args.outcome)
+    instance = read_json(args.instance)
+    outcome_obj = read_json(args.outcome)
     truth = _utility_from_snapshot(instance, args.instance)
     outcome, ntu = _outcome_from_json(outcome_obj, args.outcome, truth.num_customers, truth.num_providers)
     if ntu:
@@ -286,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
             "    etc_pulls_per_pair (default ceil((T/|A|)^(2/3) log^(1/3)(|A|T)))\n"
             "  arrival.kind: all (default)|iid_subset (p)|fixed (schedule)\n"
             "  noise.kind: gaussian (sigma, default 1.0)|bernoulli (truth in [0, 1])\n"
-            "  ntu: bool (default false); stability_eps: float (default 0, or\n"
-            "    policy epsilon for revenue_frictions); truth: fixed value matrices\n"
+            "  truth: fixed value matrices\n"
         ),
     )
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")

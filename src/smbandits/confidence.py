@@ -19,7 +19,6 @@ hold independent instances.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,12 +26,6 @@ import numpy as np
 
 from .errors import InvalidContext, ProtocolViolation
 from .market import Matching, Side, UtilityMatrix
-
-
-class Mode(enum.Enum):
-    UNSTRUCTURED = "unstructured"
-    TYPED = "typed"
-    LINEAR = "linear"
 
 
 @dataclass(frozen=True)
@@ -63,22 +56,19 @@ class ConfidenceConfig:
 
 
 def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[mean - hw, mean + hw] intersected with [-1, 1], elementwise; degenerate
-    means pin to the nearest boundary so lo <= hi always holds."""
-    lo = np.maximum(-1.0, mean - hw)
-    hi = np.minimum(1.0, mean + hw)
-    empty = lo > hi
-    if empty.any():
-        pinned = np.clip(mean, -1.0, 1.0)
-        lo = np.where(empty, pinned, lo)
-        hi = np.where(empty, pinned, hi)
+    """[mean - hw, mean + hw] intersected with [-1, 1], elementwise, for hw >= 0.
+
+    The outer clamps pin an interval lying wholly outside [-1, 1] to the
+    nearest boundary, so lo <= hi always holds."""
+    lo = np.minimum(np.maximum(mean - hw, -1.0), 1.0)
+    hi = np.maximum(np.minimum(mean + hw, 1.0), -1.0)
     return lo, hi
 
 
 class ConfidenceSets:
     """Common interval surface; subclasses own the update rule."""
 
-    mode: Mode
+    mode: str  # "unstructured" | "typed" | "linear", as in snapshots
 
     def __init__(self, num_customers: int, num_providers: int) -> None:
         self.num_customers = num_customers
@@ -151,7 +141,7 @@ class ConfidenceSets:
                         {"side": side.value, "agent": a, "partner": b, "lo": float(lo[a, b]),
                          "hi": float(hi[a, b]), "n": n, "mean": self._pair_mean(side, a, b)}
                     )
-        return {"mode": self.mode.value, "pairs": pairs}
+        return {"mode": self.mode, "pairs": pairs}
 
     def _pair_count(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -169,7 +159,7 @@ class ConfidenceSets:
 
 
 class UnstructuredConfidence(ConfidenceSets):
-    mode = Mode.UNSTRUCTURED
+    mode = "unstructured"
 
     def __init__(self, num_customers: int, num_providers: int, config: ConfidenceConfig | None = None) -> None:
         super().__init__(num_customers, num_providers)
@@ -215,7 +205,7 @@ class TypedConfidence(ConfidenceSets):
     cell; the reverse-orientation cell is updated by the partner's feedback.
     """
 
-    mode = Mode.TYPED
+    mode = "typed"
 
     def __init__(
         self,
@@ -292,7 +282,7 @@ class LinearConfidence(ConfidenceSets):
     interval for each partner.
     """
 
-    mode = Mode.LINEAR
+    mode = "linear"
 
     def __init__(
         self,
@@ -361,26 +351,3 @@ class LinearConfidence(ConfidenceSets):
             return float(self.provider_contexts[b] @ self.phi_hat[a])
         return float(self.customer_contexts[b] @ self.phi_hat[self.num_customers + a])
 
-
-def init_confidence(
-    mode: Mode,
-    num_customers: int,
-    num_providers: int,
-    *,
-    customer_types: np.ndarray | None = None,
-    provider_types: np.ndarray | None = None,
-    num_types: int | None = None,
-    customer_contexts: np.ndarray | None = None,
-    provider_contexts: np.ndarray | None = None,
-    config: ConfidenceConfig | None = None,
-) -> ConfidenceSets:
-    """Fresh confidence sets: every interval [-1, 1], every counter zero."""
-    if mode is Mode.UNSTRUCTURED:
-        return UnstructuredConfidence(num_customers, num_providers, config)
-    if mode is Mode.TYPED:
-        if customer_types is None or provider_types is None or num_types is None:
-            raise ValueError("typed mode needs type assignments")
-        return TypedConfidence(customer_types, provider_types, num_types, config)
-    if customer_contexts is None or provider_contexts is None:
-        raise ValueError("linear mode needs contexts")
-    return LinearConfidence(customer_contexts, provider_contexts, config)

@@ -12,21 +12,12 @@ import math
 import numpy as np
 
 from .confidence import ConfidenceConfig
-from .environment import ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
+from .environment import POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
 from .errors import ConfigError
 from .market import UtilityMatrix
 
 SCHEMA_VERSION = 1
 
-_POLICY_KINDS = (
-    "match_ucb",
-    "match_typed_ucb",
-    "match_lin_ucb",
-    "match_ucb_prime",
-    "match_ntu_ucb",
-    "etc",
-    "revenue_frictions",
-)
 _CLASSES = ("unstructured", "typed", "linear")
 
 
@@ -46,7 +37,7 @@ def _take(obj: dict, path: str, allowed: dict[str, type | tuple[type, ...]]) -> 
     return obj
 
 
-def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
+def _parse_policy(obj: dict, path: str) -> PolicySpec:
     _take(
         obj,
         path,
@@ -61,11 +52,9 @@ def _parse_policy(obj: dict, path: str, ntu: bool) -> PolicySpec:
         },
     )
     kind = obj.get("kind")
-    _require(kind in _POLICY_KINDS, f"{path}.kind", f"must be one of {_POLICY_KINDS}")
+    _require(kind in POLICY_KINDS, f"{path}.kind", f"must be one of {tuple(POLICY_KINDS)}")
     pulls = obj.get("etc_pulls_per_pair")
     _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
-    if ntu:
-        _require(kind == "match_ntu_ucb", f"{path}.kind", "ntu experiments use match_ntu_ucb")
     try:
         conf = ConfidenceConfig(
             ucb_scale=float(obj.get("ucb_scale", 8.0)),
@@ -168,8 +157,6 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
             "seeds": list,
             "arrival": dict,
             "noise": dict,
-            "ntu": bool,
-            "stability_eps": (int, float),
             "truth": dict,
         },
     )
@@ -188,18 +175,14 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
     seeds = obj["seeds"]
     _require(bool(seeds), f"{path}.seeds", "must be a non-empty list")
     _require(all(isinstance(s, int) for s in seeds), f"{path}.seeds", "entries must be integers")
-    ntu = bool(obj.get("ntu", False))
-    policy = _parse_policy(obj["policy"], f"{path}.policy", ntu)
-    if policy.kind == "match_typed_ucb":
-        _require(obj["class"] == "typed", f"{path}.class", "match_typed_ucb needs class=typed")
-    if policy.kind == "match_lin_ucb":
-        _require(obj["class"] == "linear", f"{path}.class", "match_lin_ucb needs class=linear")
+    policy = _parse_policy(obj["policy"], f"{path}.policy")
+    # Typed and linear sets read the structure of an instance of that class.
+    sets = POLICY_KINDS[policy.kind][1].mode
+    if sets != "unstructured":
+        _require(obj["class"] == sets, f"{path}.class", f"{policy.kind} needs class={sets}")
     n_c, n_p = obj["customers"], obj["providers"]
     arrival = _parse_arrival(obj.get("arrival", {}), f"{path}.arrival", n_c, n_p)
     noise = _parse_noise(obj.get("noise", {}), f"{path}.noise")
-    stability_eps = float(obj.get("stability_eps", 0.0))
-    if policy.kind == "revenue_frictions" and "stability_eps" not in obj:
-        stability_eps = policy.epsilon
     truth = None
     if "truth" in obj:
         _require(obj["class"] == "unstructured", f"{path}.truth", "fixed truth requires class=unstructured")
@@ -223,17 +206,20 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
         dim=obj.get("dim", 3),
         arrival=arrival,
         noise=noise,
-        stability_eps=stability_eps,
         truth=truth,
     )
 
 
-def load_config(path: str) -> SweepCell:
+def read_json(path: str):
+    """The parsed JSON file; unreadable or malformed files raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_config(obj)
+
+
+def load_config(path: str) -> SweepCell:
+    return parse_config(read_json(path))

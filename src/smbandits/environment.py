@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policies as pol
-from .confidence import ConfidenceConfig, ConfidenceSets, Mode, init_confidence
-from .errors import ConfigError
+from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
+from .errors import ConfigError, TooLarge
 from .instability import ntu_subset_instability, subset_instability_and_stability, subset_instability_value
 from .market import (
     Matching,
@@ -27,7 +27,6 @@ from .market import (
     stability_inequalities_hold,
 )
 
-_NTU_EXACT_SCORING_MAX_CUSTOMERS = 8
 _TOTAL_ROUNDS_GUARD = 20_000_000
 
 _STREAM_ARRIVALS = 1
@@ -74,6 +73,12 @@ class ArrivalSpec:
     kind: str = "all"  # all | iid_subset | fixed
     probability: float = 1.0
     schedule: tuple = ()  # fixed mode: tuple of (customer tuple, provider tuple)
+
+    def __post_init__(self) -> None:
+        # Each side of a schedule entry is a set of agents; the round takes
+        # sorted index arrays, so the sets are sorted once, here.
+        sorted_schedule = tuple((tuple(sorted(c)), tuple(sorted(p))) for c, p in self.schedule)
+        object.__setattr__(self, "schedule", sorted_schedule)
 
 
 @dataclass(frozen=True)
@@ -213,65 +218,54 @@ def gen_hard_instance(K: int, horizon: int, seed: int, rho: float | None = None)
 # Policy construction
 
 
+# Each policy kind: the policy class that plays it and the confidence sets it
+# reads. Typed and linear sets need an instance of the class of that name.
+POLICY_KINDS: dict[str, tuple[type[pol.Policy], type[ConfidenceSets]]] = {
+    "match_ucb": (pol.MatchUcbPolicy, UnstructuredConfidence),
+    "match_typed_ucb": (pol.MatchUcbPolicy, TypedConfidence),
+    "match_lin_ucb": (pol.MatchUcbPolicy, LinearConfidence),
+    "match_ucb_prime": (pol.MatchUcbPrimePolicy, UnstructuredConfidence),
+    "match_ntu_ucb": (pol.MatchNtuUcbPolicy, UnstructuredConfidence),
+    "etc": (pol.EtcPolicy, UnstructuredConfidence),
+    "revenue_frictions": (pol.RevenueFrictionsPolicy, UnstructuredConfidence),
+}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative policy description; `build` instantiates fresh state."""
 
-    kind: str  # match_ucb | match_typed_ucb | match_lin_ucb | match_ucb_prime
-    #          | match_ntu_ucb | etc | revenue_frictions
+    kind: str  # a key of POLICY_KINDS
     confidence: ConfidenceConfig = field(default_factory=ConfidenceConfig)
     epsilon: float = 0.3
     etc_pulls_per_pair: int | None = None
 
-    def conf_mode(self) -> Mode:
-        if self.kind == "match_typed_ucb":
-            return Mode.TYPED
-        if self.kind == "match_lin_ucb":
-            return Mode.LINEAR
-        return Mode.UNSTRUCTURED
-
     def build(self, instance: MarketInstance, horizon: int) -> pol.Policy:
-        conf = _confidence_for(self, instance)
-        if self.kind in ("match_ucb", "match_typed_ucb", "match_lin_ucb"):
-            return pol.MatchUcbPolicy(conf, horizon)
-        if self.kind == "match_ucb_prime":
-            return pol.MatchUcbPrimePolicy(conf, horizon)
-        if self.kind == "match_ntu_ucb":
-            return pol.MatchNtuUcbPolicy(conf, horizon)
-        if self.kind == "etc":
+        if self.kind not in POLICY_KINDS:
+            raise ConfigError(f"unknown policy kind {self.kind!r}")
+        policy_cls, sets = POLICY_KINDS[self.kind]
+        conf = _confidence_for(sets, self.confidence, instance)
+        if policy_cls is pol.EtcPolicy:
             return pol.EtcPolicy(conf, horizon, self.etc_pulls_per_pair)
-        if self.kind == "revenue_frictions":
+        if policy_cls is pol.RevenueFrictionsPolicy:
             return pol.RevenueFrictionsPolicy(conf, horizon, self.epsilon)
-        raise ConfigError(f"unknown policy kind {self.kind!r}")
+        return policy_cls(conf, horizon)
 
 
-def _confidence_for(spec: PolicySpec, instance: MarketInstance) -> ConfidenceSets:
-    mode = spec.conf_mode()
-    n_c, n_p = instance.num_customers, instance.num_providers
-    if mode is Mode.TYPED:
-        if not isinstance(instance.klass, TypedClass):
+def _confidence_for(
+    sets: type[ConfidenceSets], config: ConfidenceConfig, instance: MarketInstance
+) -> ConfidenceSets:
+    """Fresh sets of the given class: every interval [-1, 1], every counter zero."""
+    klass = instance.klass
+    if sets is TypedConfidence:
+        if not isinstance(klass, TypedClass):
             raise ConfigError("typed policy requires a typed instance")
-        return init_confidence(
-            mode,
-            n_c,
-            n_p,
-            customer_types=instance.klass.customer_types,
-            provider_types=instance.klass.provider_types,
-            num_types=instance.klass.num_types,
-            config=spec.confidence,
-        )
-    if mode is Mode.LINEAR:
-        if not isinstance(instance.klass, LinearClass):
+        return TypedConfidence(klass.customer_types, klass.provider_types, klass.num_types, config)
+    if sets is LinearConfidence:
+        if not isinstance(klass, LinearClass):
             raise ConfigError("linear policy requires a linear instance")
-        return init_confidence(
-            mode,
-            n_c,
-            n_p,
-            customer_contexts=instance.klass.customer_contexts,
-            provider_contexts=instance.klass.provider_contexts,
-            config=spec.confidence,
-        )
-    return init_confidence(mode, n_c, n_p, config=spec.confidence)
+        return LinearConfidence(klass.customer_contexts, klass.provider_contexts, config)
+    return UnstructuredConfidence(instance.num_customers, instance.num_providers, config)
 
 
 # --------------------------------------------------------------------------
@@ -307,14 +301,16 @@ def run(
     instance: MarketInstance,
     spec: PolicySpec,
     horizon: int,
-    stability_eps: float = 0.0,
     record_outcomes: bool = False,
 ) -> RegretTrace:
     """Execute one replica: deterministic in (instance.seed, spec, horizon).
 
-    ``stability_eps`` only affects the ``stable_truth`` diagnostic column: the
-    revenue policy is judged against eps-stability of its published outcome;
-    every other TU policy against exact stability of its zero-sum outcome.
+    The policy decides how a round is judged. The NTU policy is scored by the
+    NTU metric and judged by NTU stability; a round too large for the exact
+    NTU solver records the certified width bound instead (``bound_only``).
+    The revenue policy is judged by eps-stability of its published outcome at
+    its own fee eps, every other policy by exact stability of its zero-sum
+    outcome; that choice affects only the ``stable_truth`` column.
     ``record_outcomes`` keeps each round's scored outcome on the trace for
     post-hoc inspection.
     """
@@ -323,7 +319,8 @@ def run(
     noise_rng = stream_rng(instance.seed, _STREAM_NOISE)
     truth = instance.truth
     n_c, n_p = instance.num_customers, instance.num_providers
-    ntu = spec.kind == "match_ntu_ucb"
+    ntu = isinstance(policy, pol.MatchNtuUcbPolicy)
+    fee = policy.epsilon if isinstance(policy, pol.RevenueFrictionsPolicy) else 0.0
 
     cols = {
         name: np.zeros(horizon)
@@ -347,16 +344,16 @@ def run(
         truth_sub = truth.restrict(cust, prov)
         sub_outcome = _restrict_outcome(scored, cust, prov)
         if ntu:
-            if len(cust) <= _NTU_EXACT_SCORING_MAX_CUSTOMERS:
+            try:
                 inst = ntu_subset_instability(truth_sub, sub_outcome.matching).value
-            else:
+            except TooLarge:
                 inst = decision.certified_instability_bound
                 bound_only[t] = True
             stable_truth[t] = is_stable_ntu(truth_sub, sub_outcome.matching)
-        elif stability_eps > 0:
+        elif fee > 0:
             inst = subset_instability_value(truth_sub, sub_outcome)
             judged = _restrict_outcome(decision.outcome, cust, prov)
-            stable_truth[t] = stability_inequalities_hold(truth_sub, judged, stability_eps)
+            stable_truth[t] = stability_inequalities_hold(truth_sub, judged, fee)
         else:
             # One gain matrix gives the value and the is_stable_tu flag.
             inst, stable_truth[t] = subset_instability_and_stability(truth_sub, sub_outcome)
@@ -460,7 +457,6 @@ class SweepCell:
     dim: int = 3
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    stability_eps: float = 0.0
     truth: UtilityMatrix | None = None
 
 
@@ -479,7 +475,7 @@ def _run_cell_seed(args: tuple[SweepCell, int]) -> tuple[str, int, RegretTrace]:
             arrival=cell.arrival,
             noise=cell.noise,
         )
-    trace = run(instance, cell.policy, cell.horizon, stability_eps=cell.stability_eps)
+    trace = run(instance, cell.policy, cell.horizon)
     return cell.name, seed, trace
 
 

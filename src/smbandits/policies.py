@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import ConfidenceSets, Mode
+from .confidence import ConfidenceSets, TypedConfidence, UnstructuredConfidence
 from .errors import NoAlternative
 from .market import (
     TOL,
@@ -28,7 +28,7 @@ from .market import (
     second_best_matching,
 )
 
-Arrivals = tuple[np.ndarray, np.ndarray]  # (customer indices, provider indices), each distinct
+Arrivals = tuple[np.ndarray, np.ndarray]  # (customer indices, provider indices), each sorted and distinct
 
 
 def all_arrivals(num_customers: int, num_providers: int) -> Arrivals:
@@ -191,11 +191,11 @@ class Policy:
     """Base bandit policy: select an outcome, consume feedback, update sets."""
 
     kind = "base"
-    compatible_modes: tuple[Mode, ...] = (Mode.UNSTRUCTURED, Mode.TYPED, Mode.LINEAR)
+    compatible_sets: tuple[type[ConfidenceSets], ...] = (ConfidenceSets,)
 
     def __init__(self, conf: ConfidenceSets, horizon: int) -> None:
-        if conf.mode not in self.compatible_modes:
-            raise ValueError(f"{self.kind} is incompatible with {conf.mode.value} confidence sets")
+        if not isinstance(conf, self.compatible_sets):
+            raise ValueError(f"{self.kind} is incompatible with {conf.mode} confidence sets")
         self.conf = conf
         self.horizon = horizon
         self.round_index = 0
@@ -230,7 +230,7 @@ class MatchUcbPolicy(Policy):
 
 class MatchUcbPrimePolicy(Policy):
     kind = "match_ucb_prime"
-    compatible_modes = (Mode.UNSTRUCTURED,)
+    compatible_sets = (UnstructuredConfidence,)
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         outcome, info = compute_match_prime(self.conf, arrivals)
@@ -241,7 +241,7 @@ class MatchUcbPrimePolicy(Policy):
 
 class MatchNtuUcbPolicy(Policy):
     kind = "match_ntu_ucb"
-    compatible_modes = (Mode.UNSTRUCTURED, Mode.TYPED)
+    compatible_sets = (UnstructuredConfidence, TypedConfidence)
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         matching = compute_match_ntu(self.conf, arrivals)
@@ -260,7 +260,7 @@ class EtcPolicy(Policy):
     """
 
     kind = "etc"
-    compatible_modes = (Mode.UNSTRUCTURED,)
+    compatible_sets = (UnstructuredConfidence,)
 
     def __init__(self, conf: ConfidenceSets, horizon: int, pulls_per_pair: int | None = None) -> None:
         super().__init__(conf, horizon)
@@ -316,7 +316,7 @@ class RevenueFrictionsPolicy(Policy):
     zero-sum; regret is scored on the underlying zero-sum outcome."""
 
     kind = "revenue_frictions"
-    compatible_modes = (Mode.UNSTRUCTURED,)
+    compatible_sets = (UnstructuredConfidence,)
 
     def __init__(self, conf: ConfidenceSets, horizon: int, epsilon: float) -> None:
         if epsilon <= 0:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smbandits
 from smbandits.cli import main
 from smbandits.config import load_config, parse_config
 from smbandits.errors import ConfigError
@@ -79,10 +81,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r":\d+:\d+"):
             load_config(str(p))
 
-    def test_ntu_flag_restricts_policy(self):
-        with pytest.raises(ConfigError, match="ntu"):
-            parse_config(base_config(ntu=True))
-
     @pytest.mark.parametrize(
         "overrides, key_path",
         [
@@ -111,6 +109,10 @@ class TestConfigParsing:
             ({"policy": {"kind": "match_ucb", "lin_ridge": 0}}, r"config\.policy\.lin_ridge"),
             ({"policy": {"kind": "match_ucb", "lin_beta_log_coeff": -1.0}}, r"config\.policy\.lin_beta_log_coeff"),
             ({"policy": {"kind": "revenue_frictions", "epsilon": float("inf")}}, r"config\.policy\.epsilon"),
+            ({"policy": {"kind": "match_lin_ucb"}}, r"config\.class: match_lin_ucb needs class=linear"),
+            # The policy kind picks the NTU metric and the eps judgement.
+            ({"ntu": True}, r"config: unknown keys \['ntu'\]"),
+            ({"stability_eps": 0.3}, r"config: unknown keys \['stability_eps'\]"),
         ],
         ids=[
             "schedule_out_of_range",
@@ -123,6 +125,9 @@ class TestConfigParsing:
             "lin_ridge_zero",
             "lin_beta_negative",
             "epsilon_infinite",
+            "linear_sets_need_linear_class",
+            "ntu_key",
+            "stability_eps_key",
         ],
     )
     def test_rejected_at_parse_time_with_key_path(self, overrides, key_path):
@@ -301,10 +306,14 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the package this process imported.
+        src = str(Path(smbandits.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "smbandits.cli", "verify", "--cases", "5"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
 

@@ -7,10 +7,8 @@ import pytest
 from smbandits.confidence import (
     ConfidenceConfig,
     LinearConfidence,
-    Mode,
     TypedConfidence,
     UnstructuredConfidence,
-    init_confidence,
 )
 from smbandits.errors import InvalidContext, ProtocolViolation
 from smbandits.market import Matching, UtilityMatrix, customer, provider
@@ -23,30 +21,25 @@ def obs_for(matching: Matching, value: float) -> tuple[np.ndarray, np.ndarray]:
 
 class TestInit:
     def test_fresh_widths_are_two(self):
-        conf = init_confidence(Mode.UNSTRUCTURED, 3, 4)
+        conf = UnstructuredConfidence(3, 4)
         assert conf.hi_c[0, 3] - conf.lo_c[0, 3] == 2.0
         assert conf.width_sum(Matching([(0, 0), (1, 1)])) == 8.0
 
     def test_typed_has_one_interval_per_type_pair(self):
-        conf = init_confidence(
-            Mode.TYPED, 5, 5,
-            customer_types=np.array([0, 1, 2, 0, 1]),
-            provider_types=np.array([2, 1, 0, 2, 1]),
-            num_types=3,
-        )
+        conf = TypedConfidence(np.array([0, 1, 2, 0, 1]), np.array([2, 1, 0, 2, 1]), num_types=3)
         assert conf.type_lo.shape == (3, 3)
         assert (conf.type_hi - conf.type_lo == 2.0).all()
 
     def test_linear_starts_with_no_observations(self):
         ctx = np.eye(2)
-        conf = init_confidence(Mode.LINEAR, 2, 2, customer_contexts=ctx, provider_contexts=ctx)
+        conf = LinearConfidence(ctx, ctx)
         assert (conf.pulls == 0).all()
         assert conf.hi_c[0, 1] - conf.lo_c[0, 1] == 2.0
 
     def test_context_outside_ball_rejected(self):
         bad = np.array([[1.0, 0.5]])
         with pytest.raises(InvalidContext):
-            init_confidence(Mode.LINEAR, 1, 1, customer_contexts=bad, provider_contexts=np.array([[1.0, 0.0]]))
+            LinearConfidence(bad, np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_context_rejected(self, value):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from smbandits.confidence import ConfidenceConfig, Mode, init_confidence
+from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
 from smbandits.environment import (
     ArrivalSpec,
     MarketInstance,
+    POLICY_KINDS,
     NoiseSpec,
     PolicySpec,
     SweepCell,
@@ -31,7 +32,7 @@ class OracleSpec:
     kind = "match_ucb"
 
     def build(self, instance, horizon):
-        conf = init_confidence(Mode.UNSTRUCTURED, instance.num_customers, instance.num_providers)
+        conf = UnstructuredConfidence(instance.num_customers, instance.num_providers)
         conf.collapse_to(instance.truth)
         policy = MatchUcbPolicy(conf, horizon)
         policy._learn = lambda *a, **k: None  # keep the sets collapsed
@@ -109,6 +110,25 @@ class TestHardInstance:
             gen_hard_instance(1, 100, seed=0)
 
 
+class TestPolicyKinds:
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+    def test_build_follows_the_table(self, kind):
+        policy_cls, sets = POLICY_KINDS[kind]
+        # Typed and linear sets need an instance of the class of that name.
+        inst = gen_instance(sets.mode, 3, 3, seed=0)
+        policy = PolicySpec(kind).build(inst, 10)
+        assert type(policy) is policy_cls and type(policy.conf) is sets
+
+    @pytest.mark.parametrize("kind", ["match_typed_ucb", "match_lin_ucb"])
+    def test_structured_sets_need_their_class(self, kind):
+        with pytest.raises(ConfigError, match="requires a"):
+            PolicySpec(kind).build(gen_instance("unstructured", 2, 2, seed=0), 10)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown policy kind"):
+            PolicySpec("match_nothing").build(gen_instance("unstructured", 2, 2, seed=0), 10)
+
+
 class TestRunLoop:
     def test_oracle_policy_zero_instability(self):
         inst = gen_instance("unstructured", 3, 3, seed=12)
@@ -161,6 +181,12 @@ class TestRunLoop:
     def test_ntu_exact_scoring_below_guard(self):
         inst = gen_instance("unstructured", 3, 3, seed=17)
         trace = run(inst, PolicySpec("match_ntu_ucb", ConfidenceConfig(ucb_scale=2.0)), 50)
+        assert not trace.bound_only.any()
+
+    def test_ntu_exact_scoring_at_guard(self):
+        # Eight customers is the largest market the exact NTU solver takes.
+        inst = gen_instance("unstructured", 8, 3, seed=16)
+        trace = run(inst, PolicySpec("match_ntu_ucb", ConfidenceConfig(ucb_scale=2.0)), 20)
         assert not trace.bound_only.any()
 
     def test_iid_arrivals_differ_by_round_but_not_by_replay(self):
@@ -274,7 +300,7 @@ class TestSweep:
         finals = []
         for eps in (0.15, 0.45):
             spec = PolicySpec("revenue_frictions", ConfidenceConfig(ucb_scale=1.0), epsilon=eps)
-            cell = SweepCell(f"e{eps}", "unstructured", 3, 3, 2500, spec, seeds=(0, 1, 2), stability_eps=eps)
+            cell = SweepCell(f"e{eps}", "unstructured", 3, 3, 2500, spec, seeds=(0, 1, 2))
             results = sweep([cell])
             finals.append(np.mean([tr.cum_revenue[-1] for tr in results[f"e{eps}"].values()]))
         assert finals[0] < finals[1]

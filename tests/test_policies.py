@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_market
-from smbandits.confidence import ConfidenceConfig, Mode, UnstructuredConfidence, init_confidence
+from smbandits.confidence import ConfidenceConfig, LinearConfidence, UnstructuredConfidence
 from smbandits.errors import ProtocolViolation
 from smbandits.instability import subset_instability_value
 from smbandits.market import (
@@ -147,7 +147,7 @@ class TestComputeMatchPrime:
         rng = np.random.default_rng(45)
         truth = random_market(rng, 3, 3)
         feedback = echo_feedback(truth)
-        conf = init_confidence(Mode.UNSTRUCTURED, 3, 3, config=ConfidenceConfig(ucb_scale=1.0))
+        conf = UnstructuredConfidence(3, 3, config=ConfidenceConfig(ucb_scale=1.0))
         policy = MatchUcbPrimePolicy(conf, horizon=200)
         branches = set()
         for _ in range(80):
@@ -164,7 +164,7 @@ class TestComputeMatchPrime:
     def test_other_policies_record_no_info(self):
         truth = random_market(np.random.default_rng(46), 2, 2)
         for cls in (MatchUcbPolicy, MatchNtuUcbPolicy, EtcPolicy):
-            policy = cls(init_confidence(Mode.UNSTRUCTURED, 2, 2), horizon=10)
+            policy = cls(UnstructuredConfidence(2, 2), horizon=10)
             assert policy.step(all_arrivals(2, 2), echo_feedback(truth)).info is None
 
 
@@ -191,14 +191,14 @@ class TestComputeMatchNtu:
 class TestPolicyLoops:
     def test_width_sum_on_first_round(self):
         truth = random_market(np.random.default_rng(46), 3, 3)
-        conf = init_confidence(Mode.UNSTRUCTURED, 3, 3)
+        conf = UnstructuredConfidence(3, 3)
         policy = MatchUcbPolicy(conf, horizon=100)
         decision = policy.step(all_arrivals(3, 3), echo_feedback(truth))
         assert decision.width_sum == 4.0 * len(decision.outcome.matching)
 
     def test_mode_compatibility_enforced(self):
         ctx = np.eye(2)
-        conf = init_confidence(Mode.LINEAR, 2, 2, customer_contexts=ctx, provider_contexts=ctx)
+        conf = LinearConfidence(ctx, ctx)
         with pytest.raises(ValueError):
             MatchUcbPrimePolicy(conf, horizon=10)
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestPolicyLoops:
 
     def test_feedback_cardinality_checked(self):
         truth = random_market(np.random.default_rng(47), 2, 2)
-        conf = init_confidence(Mode.UNSTRUCTURED, 2, 2)
+        conf = UnstructuredConfidence(2, 2)
         policy = MatchUcbPolicy(conf, horizon=10)
 
         def broken(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +225,7 @@ class TestEtc:
 
     def test_explores_each_pair_then_freezes(self):
         truth = random_market(np.random.default_rng(48), 2, 2)
-        conf = init_confidence(Mode.UNSTRUCTURED, 2, 2)
+        conf = UnstructuredConfidence(2, 2)
         policy = EtcPolicy(conf, horizon=400, pulls_per_pair=5)
         feedback = echo_feedback(truth)
         rounds = 0
@@ -241,7 +241,7 @@ class TestEtc:
         assert policy.conf.snapshot() == frozen
 
     def test_round_robin_is_balanced(self):
-        conf = init_confidence(Mode.UNSTRUCTURED, 3, 3)
+        conf = UnstructuredConfidence(3, 3)
         policy = EtcPolicy(conf, horizon=1000, pulls_per_pair=4)
         truth = random_market(np.random.default_rng(49), 3, 3)
         feedback = echo_feedback(truth)
@@ -256,7 +256,7 @@ class TestZeroSumInvariants:
         truth = random_market(rng, 3, 3)
         feedback = echo_feedback(truth)
         for cls in (MatchUcbPolicy, MatchUcbPrimePolicy, EtcPolicy):
-            conf = init_confidence(Mode.UNSTRUCTURED, 3, 3, config=ConfidenceConfig(ucb_scale=1.0))
+            conf = UnstructuredConfidence(3, 3, config=ConfidenceConfig(ucb_scale=1.0))
             policy = cls(conf, horizon=100)
             for _ in range(60):
                 ucb_before = policy.conf.ucb_matrix()
@@ -268,7 +268,7 @@ class TestZeroSumInvariants:
     def test_ntu_policy_emits_zero_transfers(self):
         rng = np.random.default_rng(53)
         truth = random_market(rng, 3, 3)
-        conf = init_confidence(Mode.UNSTRUCTURED, 3, 3)
+        conf = UnstructuredConfidence(3, 3)
         policy = MatchNtuUcbPolicy(conf, horizon=50)
         for _ in range(20):
             decision = policy.step(all_arrivals(3, 3), echo_feedback(truth))
@@ -322,6 +322,6 @@ class TestRevenueFrictions:
             decision.scored_outcome.check_zero_sum()
 
     def test_rejects_nonpositive_epsilon(self):
-        conf = init_confidence(Mode.UNSTRUCTURED, 2, 2)
+        conf = UnstructuredConfidence(2, 2)
         with pytest.raises(ValueError):
             RevenueFrictionsPolicy(conf, horizon=10, epsilon=0.0)

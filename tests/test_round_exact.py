@@ -262,13 +262,15 @@ UNSORTED_SCHEDULE = (
     ((0, 2), ()),
 )
 
+SORTED_SCHEDULE = tuple((tuple(sorted(c)), tuple(sorted(p))) for c, p in UNSORTED_SCHEDULE)
+
 # sha256 of the seven trace columns and of every scored outcome's pairs and
-# transfer bytes, recorded with the checked constructors.
+# transfer bytes, recorded once schedule entries were sorted where they enter.
 UNSORTED_SCHEDULE_DIGESTS = {
-    "match_ucb": "e5d91e98a9f81e6d341023c3edec98eaf7d125dcf94699ba487d3e72fc9d5dcf",
-    "match_ucb_prime": "c98fefc30779f69b84707bd8e9bdde5fcae578c797f24fb9902cbe975c67327c",
-    "match_ntu_ucb": "adfda3132442cfff1ac70200d55b9f195ae0d1bc3529bc5d9a58863e1702d36d",
-    "revenue_frictions": "745e1d87c3904542ef4d7224485785c5ff4b4f4add52a397d4dabbaefd92019e",
+    "match_ucb": "c02ceb2deb5c2f4fa5d0344713b87f12218dc872a47e724ea6ab21e8e56ff0e4",
+    "match_ucb_prime": "f75d3a774bbde3dcd2e436fc02f45ce7f19813ed30f828b1b78fd16911a5a706",
+    "match_ntu_ucb": "5b8c93c01745701c402bda8af837de5f6a0aedd982a621a32235ffd0bc102915",
+    "revenue_frictions": "025258d131d8b9650683386548a464f747224e9909c39609ade35d1e2fe06ec1",
 }
 
 
@@ -291,14 +293,26 @@ def trace_digest(trace) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(UNSORTED_SCHEDULE_DIGESTS))
-def test_unsorted_fixed_schedule(kind):
-    arrival = env.ArrivalSpec(kind="fixed", schedule=UNSORTED_SCHEDULE)
+def schedule_trace(kind: str, schedule: tuple):
+    arrival = env.ArrivalSpec(kind="fixed", schedule=schedule)
     instance = env.gen_instance("unstructured", 3, 3, seed=5, arrival=arrival)
     scale = 1.0 if kind == "match_ucb_prime" else 8.0
     spec = env.PolicySpec(kind, ConfidenceConfig(ucb_scale=scale))
-    eps = spec.epsilon if kind == "revenue_frictions" else 0.0
-    trace = env.run(instance, spec, 150, stability_eps=eps, record_outcomes=True)
+    return env.run(instance, spec, 150, record_outcomes=True)
+
+
+@pytest.mark.parametrize("kind", sorted(UNSORTED_SCHEDULE_DIGESTS))
+def test_unsorted_schedule_plays_its_sorted_twin(kind):
+    # A schedule entry is a set of agents: listing it in another order must
+    # not change a single matching, transfer or trace bit.
+    assert trace_digest(schedule_trace(kind, UNSORTED_SCHEDULE)) == trace_digest(
+        schedule_trace(kind, SORTED_SCHEDULE)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(UNSORTED_SCHEDULE_DIGESTS))
+def test_unsorted_fixed_schedule(kind):
+    trace = schedule_trace(kind, UNSORTED_SCHEDULE)
     for outcome in trace.outcomes:
         assert_sorted_disjoint(outcome.matching)
     assert trace_digest(trace) == UNSORTED_SCHEDULE_DIGESTS[kind]
