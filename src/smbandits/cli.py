@@ -9,6 +9,7 @@ non-zero on any violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,32 +96,74 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _utility_from_snapshot(obj: dict, path: str) -> UtilityMatrix:
+def _require_object(obj, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+
+
+def _finite_array(raw, where: str, ndim: int) -> np.ndarray:
+    """``raw`` as a float array of ``ndim`` dimensions with finite entries.
+
+    Strings, nulls, objects and ragged nesting raise ConfigError at
+    ``where``, and so do NaN and Infinity, which Python's ``json`` accepts."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{where}: expected a {ndim}-D array of numbers")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: entries must be finite")
+    return arr
+
+
+def _utility_from_snapshot(obj, path: str) -> UtilityMatrix:
+    _require_object(obj, path)
     for key in ("customer_values", "provider_values"):
         if key not in obj:
             raise ConfigError(f"{path}: missing {key}")
+    cv = _finite_array(obj["customer_values"], f"{path}: customer_values", 2)
+    pv = _finite_array(obj["provider_values"], f"{path}: provider_values", 2)
+    if pv.shape != cv.shape[::-1]:
+        raise ConfigError(
+            f"{path}: provider_values: shape {pv.shape} must be {cv.shape[::-1]}, the transpose of customer_values"
+        )
+    return UtilityMatrix(cv, pv)
+
+
+def _matching_from_json(raw, path: str, n_c: int, n_p: int) -> Matching:
+    where = f"{path}: matching"
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}: expected a list of [customer, provider] pairs")
+    for k, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{where}[{k}]: expected a [customer, provider] pair")
+        for side, (x, count) in enumerate(zip(pair, (n_c, n_p))):
+            # ``type`` rather than ``isinstance``: JSON true is not an index.
+            if not (type(x) is int and 0 <= x < count):
+                raise ConfigError(f"{where}[{k}][{side}]: must be an agent index in [0, {count})")
     try:
-        return UtilityMatrix(np.asarray(obj["customer_values"]), np.asarray(obj["provider_values"]))
+        return Matching(raw)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _outcome_from_json(obj: dict, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
+def _outcome_from_json(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
+    _require_object(obj, path)
     if "matching" not in obj:
         raise ConfigError(f"{path}: missing matching")
-    try:
-        matching = Matching(tuple((int(i), int(j)) for i, j in obj["matching"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad matching: {exc}") from exc
-    for i, j in matching.pairs:
-        if not (0 <= i < n_c and 0 <= j < n_p):
-            raise ConfigError(f"{path}: pair ({i},{j}) out of range")
-    ntu = bool(obj.get("ntu", False))
-    tau_c = np.asarray(obj.get("customer_transfers", np.zeros(n_c)), dtype=float)
-    tau_p = np.asarray(obj.get("provider_transfers", np.zeros(n_p)), dtype=float)
-    if tau_c.shape != (n_c,) or tau_p.shape != (n_p,):
-        raise ConfigError(f"{path}: transfer vectors must have lengths {n_c} and {n_p}")
-    return MarketOutcome(matching, tau_c, tau_p), ntu
+    matching = _matching_from_json(obj["matching"], path, n_c, n_p)
+    ntu = obj.get("ntu", False)
+    if type(ntu) is not bool:
+        raise ConfigError(f"{path}: ntu: expected true or false, got {ntu!r}")
+    transfers = []
+    for key, n in (("customer_transfers", n_c), ("provider_transfers", n_p)):
+        tau = _finite_array(obj[key], f"{path}: {key}", 1) if key in obj else np.zeros(n)
+        if tau.shape != (n,):
+            raise ConfigError(f"{path}: {key}: expected length {n}, got {tau.shape[0]}")
+        transfers.append(tau)
+    return MarketOutcome(matching, *transfers), ntu
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -254,7 +297,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call: ``parse_args`` leaves it unchanged and returns a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="smbandits",
         description="Matching-market bandit simulator: run experiments, score outcomes, verify invariants.",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import smbandits
-from smbandits.cli import main
+from smbandits.cli import build_parser, main
 from smbandits.config import load_config, parse_config
 from smbandits.errors import ConfigError
 
@@ -20,6 +20,10 @@ FIG1_OUTCOME = {
     "matching": [[0, 1]],
     "customer_transfers": [-11.0],
     "provider_transfers": [0.0, 11.0],
+}
+SQUARE_INSTANCE = {
+    "customer_values": [[1.0, 0.5], [0.2, 0.8]],
+    "provider_values": [[0.3, 0.6], [0.9, 0.1]],
 }
 
 
@@ -284,6 +288,57 @@ class TestScoreCommand:
         outc = write_json(tmp_path / "outc.json", {"matching": [[0, 7]]})
         assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 2
 
+    @pytest.mark.parametrize(
+        "outcome, key",
+        [
+            ({"matching": [[0, 1]], "customer_transfers": ["a", 0]}, "customer_transfers"),
+            ({"matching": [[0, 1]], "customer_transfers": [float("nan"), 0]}, "customer_transfers"),
+            ({"matching": [[0, 1]], "provider_transfers": [0, float("inf")]}, "provider_transfers"),
+            ({"matching": [[0, 1]], "customer_transfers": [None, 0]}, "customer_transfers"),
+            ({"matching": [[0, 1]], "ntu": "false"}, "ntu"),
+            ({"matching": [[0.9, 1]]}, "matching[0][0]"),
+            ({"matching": [[True, 1]]}, "matching[0][0]"),
+            ({"matching": [[0, "1"]]}, "matching[0][1]"),
+            ({"matching": 5}, "matching"),
+        ],
+        ids=[
+            "transfer_string",
+            "transfer_nan",
+            "transfer_infinity",
+            "transfer_null",
+            "ntu_string",
+            "index_float",
+            "index_bool",
+            "index_string",
+            "matching_not_list",
+        ],
+    )
+    def test_malformed_outcome_names_key(self, tmp_path, capsys, outcome, key):
+        inst = write_json(tmp_path / "inst.json", SQUARE_INSTANCE)
+        outc = write_json(tmp_path / "outc.json", outcome)
+        assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 2
+        err = capsys.readouterr().err
+        assert f"outc.json: {key}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "instance, key",
+        [
+            ({**SQUARE_INSTANCE, "customer_values": [["a", 0.5], [0.2, 0.8]]}, "customer_values"),
+            ({**SQUARE_INSTANCE, "provider_values": {"a": 1}}, "provider_values"),
+            ({**SQUARE_INSTANCE, "provider_values": [[0.3, 0.6]]}, "provider_values"),
+            ([1, 2], "expected a JSON object"),
+        ],
+        ids=["value_string", "values_not_list", "shape_mismatch", "not_object"],
+    )
+    def test_malformed_instance_names_key(self, tmp_path, capsys, instance, key):
+        inst = write_json(tmp_path / "inst.json", instance)
+        outc = write_json(tmp_path / "outc.json", {"matching": [[0, 1]]})
+        assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 2
+        err = capsys.readouterr().err
+        assert f"inst.json: {key}" in err
+        assert "Traceback" not in err
+
     def test_accepts_generated_instance_snapshot(self, tmp_path, capsys):
         from smbandits.environment import gen_instance
 
@@ -304,20 +359,67 @@ class TestVerifyCommand:
         assert "all checks passed" in capsys.readouterr().out
 
 
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m smbandits.cli`` in a child that imports the package this
+    process imported."""
+    src = str(Path(smbandits.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "smbandits.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child imports the package this process imported.
-        src = str(Path(smbandits.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "smbandits.cli", "verify", "--cases", "5"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0
+        assert run_module(["verify", "--cases", "5"]).returncode == 0
 
     def test_smb_threads_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SMB_THREADS", "2")
         cfg = write_json(tmp_path / "cfg.json", base_config(horizon=10))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+class TestParserReuse:
+    def test_parser_built_once_across_calls(self, tmp_path, capsys):
+        inst = write_json(tmp_path / "inst.json", FIG1_INSTANCE)
+        outc = write_json(tmp_path / "outc.json", FIG1_OUTCOME)
+        build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
+        with pytest.raises(SystemExit):
+            main(["score", "--instance", str(inst)])
+        assert main(["verify", "--cases", "2"]) == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_in_process_calls_match_module_invocation(self, tmp_path, capsys):
+        # One process runs a failed parse, a run and two scores on the same
+        # parser; each call must print what a fresh interpreter prints.
+        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=5))
+        tu_inst = write_json(tmp_path / "tu_inst.json", FIG1_INSTANCE)
+        tu_outc = write_json(tmp_path / "tu_outc.json", FIG1_OUTCOME)
+        ntu_inst = write_json(tmp_path / "ntu_inst.json", SQUARE_INSTANCE)
+        ntu_outc = write_json(tmp_path / "ntu_outc.json", {"matching": [[0, 1]], "ntu": True})
+        commands = [
+            ["score", "--instance", str(tu_inst)],
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            ["score", "--instance", str(tu_inst), "--outcome", str(tu_outc)],
+            ["score", "--instance", str(ntu_inst), "--outcome", str(ntu_outc)],
+        ]
+        in_process = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out.encode(), captured.err.encode()))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 0]
+        for argv, (code, out, err) in zip(commands, in_process):
+            proc = run_module(argv)
+            assert proc.returncode == code
+            assert proc.stdout == out
+            if code == 2:
+                assert proc.stderr == err
