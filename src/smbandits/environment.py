@@ -24,6 +24,7 @@ from .market import (
     UtilityMatrix,
     is_stable_ntu,
     is_stable_tu,  # not called here; perfbench/tracer.py patches this name
+    lists_all_in_order,
     stability_inequalities_hold,
 )
 
@@ -287,6 +288,7 @@ class RegretTrace:
     stable_truth: np.ndarray  # bool: outcome stable for the true utilities
     bound_only: np.ndarray  # bool: instability column holds a bound, not the exact value
     outcomes: list[MarketOutcome] | None = None  # populated when record_outcomes=True
+    reused_rounds: int = 0  # rounds that replayed the previous round's outcome and score
 
     @property
     def cum_regret(self) -> np.ndarray:
@@ -313,6 +315,10 @@ def run(
     outcome; that choice affects only the ``stable_truth`` column.
     ``record_outcomes`` keeps each round's scored outcome on the trace for
     post-hoc inspection.
+
+    A round whose decision holds the very outcome objects of the round before,
+    on bytewise the same arrivals, reuses that round's score; a reused
+    ``bound_only`` round records its own certified bound.
     """
     policy = spec.build(instance, horizon)
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
@@ -330,6 +336,8 @@ def run(
     stable_truth = np.zeros(horizon, dtype=bool)
     bound_only = np.zeros(horizon, dtype=bool)
     outcomes: list[MarketOutcome] | None = [] if record_outcomes else None
+    last: tuple | None = None  # outcome objects, arrival bytes and _judge result of the last judged round
+    reused_rounds = 0
 
     for t in range(horizon):
         cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
@@ -339,24 +347,21 @@ def run(
             return _observe(truth, matching, instance.noise, noise_rng)
 
         decision = policy.step((cust, prov), feedback)
-        scored = decision.scored_outcome
-
-        truth_sub = truth.restrict(cust, prov)
-        sub_outcome = _restrict_outcome(scored, cust, prov)
-        if ntu:
-            try:
-                inst = ntu_subset_instability(truth_sub, sub_outcome.matching).value
-            except TooLarge:
-                inst = decision.certified_instability_bound
-                bound_only[t] = True
-            stable_truth[t] = is_stable_ntu(truth_sub, sub_outcome.matching)
-        elif fee > 0:
-            inst = subset_instability_value(truth_sub, sub_outcome)
-            judged = _restrict_outcome(decision.outcome, cust, prov)
-            stable_truth[t] = stability_inequalities_hold(truth_sub, judged, fee)
+        arrived = (cust.tobytes(), prov.tobytes())
+        if (
+            last is not None
+            and last[0] is decision.outcome
+            and last[1] is decision.scored_outcome
+            and last[2] == arrived
+        ):
+            reused_rounds += 1
+            inst, stable_truth[t], bound_only[t] = last[3]
         else:
-            # One gain matrix gives the value and the is_stable_tu flag.
-            inst, stable_truth[t] = subset_instability_and_stability(truth_sub, sub_outcome)
+            judged = _judge(truth, decision, cust, prov, ntu, fee)
+            inst, stable_truth[t], bound_only[t] = judged
+            last = (decision.outcome, decision.scored_outcome, arrived, judged)
+        if bound_only[t]:
+            inst = decision.certified_instability_bound
 
         cols["instability"][t] = inst
         cols["width_sum"][t] = decision.width_sum
@@ -378,7 +383,31 @@ def run(
         stable_truth=stable_truth,
         bound_only=bound_only,
         outcomes=outcomes,
+        reused_rounds=reused_rounds,
     )
+
+
+def _judge(
+    truth: UtilityMatrix, decision: pol.RoundDecision, cust: np.ndarray, prov: np.ndarray, ntu: bool, fee: float
+) -> tuple[float, bool, bool]:
+    """``(instability, stable_truth, bound_only)`` of one round's decision on
+    its arrivals; the instability of a ``bound_only`` round is nan, for the
+    caller to fill with the round's certified bound."""
+    truth_sub = truth.restrict(cust, prov)
+    sub_outcome = _restrict_outcome(decision.scored_outcome, cust, prov)
+    if ntu:
+        try:
+            inst, bound = ntu_subset_instability(truth_sub, sub_outcome.matching).value, False
+        except TooLarge:
+            inst, bound = math.nan, True
+        return inst, is_stable_ntu(truth_sub, sub_outcome.matching), bound
+    if fee > 0:
+        inst = subset_instability_value(truth_sub, sub_outcome)
+        judged = _restrict_outcome(decision.outcome, cust, prov)
+        return inst, stability_inequalities_hold(truth_sub, judged, fee), False
+    # One gain matrix gives the value and the is_stable_tu flag.
+    inst, stable = subset_instability_and_stability(truth_sub, sub_outcome)
+    return inst, stable, False
 
 
 def _draw_arrivals(
@@ -422,7 +451,9 @@ def _observe(
 
 def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray) -> MarketOutcome:
     """Reindex an outcome onto the arrival submarket."""
-    if len(cust) == len(outcome.customer_transfers) and len(prov) == len(outcome.provider_transfers):
+    if lists_all_in_order(cust, len(outcome.customer_transfers)) and lists_all_in_order(
+        prov, len(outcome.provider_transfers)
+    ):
         return outcome
     c_pos = {g: k for k, g in enumerate(cust.tolist())}
     p_pos = {g: k for k, g in enumerate(prov.tolist())}
@@ -516,8 +547,13 @@ def aggregate_curves(traces: dict[int, RegretTrace]) -> tuple[np.ndarray, np.nda
 
 
 def summarize(traces: dict[int, RegretTrace]) -> dict:
-    """Final-regret statistics and the log-log slope over the last half."""
+    """Final-regret statistics, the log-log slope over the last half, and
+    round diagnostics over every replica: the share of rounds whose sets
+    contained the truth, the share stable for the truth, the ``bound_only``
+    round count and the share of rounds that reused the previous round's
+    outcome and score."""
     ordered = [traces[s] for s in sorted(traces)]
+    rounds = sum(t.horizon for t in ordered)
     finals = np.array([t.cum_regret[-1] for t in ordered])
     mean, stderr = mean_stderr(finals)
     curve = np.mean([t.cum_regret for t in ordered], axis=0)
@@ -531,4 +567,8 @@ def summarize(traces: dict[int, RegretTrace]) -> dict:
         "final_cum_regret_mean": mean,
         "final_cum_regret_stderr": stderr,
         "log_slope_last_half": slope,
+        "containment_rate": sum(int(t.containment.sum()) for t in ordered) / rounds,
+        "stable_truth_rate": sum(int(t.stable_truth.sum()) for t in ordered) / rounds,
+        "bound_only_rounds": sum(int(t.bound_only.sum()) for t in ordered),
+        "reused_round_frac": sum(t.reused_rounds for t in ordered) / rounds,
     }

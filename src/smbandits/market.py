@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,6 +25,16 @@ _DUAL_RTOL = 1e-9
 _FORBIDDEN = -np.inf
 
 _new = object.__new__
+
+
+@lru_cache(maxsize=64)
+def _arange_bytes(n: int) -> bytes:
+    return np.arange(n).tobytes()
+
+
+def lists_all_in_order(idx: np.ndarray, n: int) -> bool:
+    """Whether the index array ``idx`` is exactly 0, 1, ..., n - 1."""
+    return len(idx) == n and idx.tobytes() == _arange_bytes(n)
 
 
 class Side(enum.Enum):
@@ -96,9 +106,9 @@ class UtilityMatrix:
         return self.customer_values + self.provider_values.T
 
     def restrict(self, customers: np.ndarray, providers: np.ndarray) -> UtilityMatrix:
-        """Submarket on the given index arrays, in their order; arrays as long
-        as the market are taken to list every agent in index order."""
-        if len(customers) == self.num_customers and len(providers) == self.num_providers:
+        """Submarket on the given index arrays, in their order; arrays that
+        list every agent in index order return the market itself."""
+        if lists_all_in_order(customers, self.num_customers) and lists_all_in_order(providers, self.num_providers):
             return self
         return UtilityMatrix._trusted(
             self.customer_values.take(customers, 0).take(providers, 1),

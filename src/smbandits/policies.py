@@ -129,10 +129,9 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
     Proposal-order ties break toward the lower provider index.
     """
     cust, prov = arrivals
-    ucb = conf.ucb_matrix()
-    # Gathered directly: restrict returns any full-size arrivals unpermuted.
-    u_c = ucb.customer_values.take(cust, 0).take(prov, 1)
-    u_p = ucb.provider_values.take(prov, 0).take(cust, 1).tolist()
+    sub = conf.ucb_matrix().restrict(cust, prov)
+    u_c = sub.customer_values
+    u_p = sub.provider_values.tolist()
     n_c = len(cust)
 
     # A stable argsort of -u is the (-u, j) order.
@@ -161,6 +160,11 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
         # Exhausted list: customer stays unmatched.
     cl, pl = cust.tolist(), prov.tolist()
     return Matching._from_disjoint(tuple(sorted([(cl[i], pl[j]) for j, i in holder.items()])))
+
+
+def _ntu_outcome(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
+    """``compute_match_ntu``'s matching as an outcome with zero transfers."""
+    return MarketOutcome.ntu(compute_match_ntu(conf, arrivals), conf.num_customers, conf.num_providers)
 
 
 @dataclass
@@ -199,6 +203,8 @@ class Policy:
         self.conf = conf
         self.horizon = horizon
         self.round_index = 0
+        self._memo_key: tuple | None = None
+        self._memo_value = None
 
     def step(self, arrivals: Arrivals, feedback) -> RoundDecision:
         """Play one round. ``feedback(matching)`` returns the observed rewards
@@ -212,6 +218,20 @@ class Policy:
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         raise NotImplementedError
 
+    def _memo(self, fn, arrivals: Arrivals, *arrays: np.ndarray):
+        """``fn(self.conf, arrivals)``, reused while ``fn``, the arrivals and
+        ``arrays`` are bytewise those of the last call.
+
+        Bytes, not values, are compared, so -0.0 and 0.0 differ and a reused
+        result is the one a fresh call would return. The key is the arrays'
+        contents, not a version counter: callers may write the sets in place.
+        """
+        key = (fn, *[(a.shape, a.tobytes()) for a in (*arrivals, *arrays)])
+        if key != self._memo_key:
+            self._memo_value = fn(self.conf, arrivals)
+            self._memo_key = key
+        return self._memo_value
+
     def _learn(self, matching: Matching, observations: tuple[np.ndarray, np.ndarray]) -> None:
         self.conf.update(matching, observations, self.horizon)
 
@@ -223,7 +243,7 @@ class MatchUcbPolicy(Policy):
     kind = "match_ucb"
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        outcome = compute_match(self.conf, arrivals)
+        outcome = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
         w = self.conf.width_sum(outcome.matching)
         return RoundDecision(outcome, w, w, 0.0)
 
@@ -232,6 +252,8 @@ class MatchUcbPrimePolicy(Policy):
     kind = "match_ucb_prime"
     compatible_sets = (UnstructuredConfidence,)
 
+    # Not memoised: the branch reads the lower bounds too, and the key would
+    # match in about 1% of rounds.
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         outcome, info = compute_match_prime(self.conf, arrivals)
         w = self.conf.width_sum(outcome.matching)
@@ -244,9 +266,8 @@ class MatchNtuUcbPolicy(Policy):
     compatible_sets = (UnstructuredConfidence, TypedConfidence)
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        matching = compute_match_ntu(self.conf, arrivals)
-        outcome = MarketOutcome.ntu(matching, self.conf.num_customers, self.conf.num_providers)
-        w = self.conf.width_sum(matching)
+        outcome = self._memo(_ntu_outcome, arrivals, self.conf.hi_c, self.conf.hi_p)
+        w = self.conf.width_sum(outcome.matching)
         return RoundDecision(outcome, w, w, 0.0)
 
 
@@ -282,7 +303,7 @@ class EtcPolicy(Policy):
         if not self.committed and (self.explored >= self.pulls_per_pair).all():
             self.committed = True
         if self.committed:
-            outcome = compute_match(self.conf, arrivals)
+            outcome = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
             w = self.conf.width_sum(outcome.matching)
             return RoundDecision(outcome, w, w, 0.0)
 
@@ -325,7 +346,7 @@ class RevenueFrictionsPolicy(Policy):
         self.epsilon = epsilon
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        base = compute_match(self.conf, arrivals)
+        base = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
         tau_c = base.customer_transfers.copy()
         tau_p = base.provider_transfers.copy()
         for i, j in base.matching.pairs:

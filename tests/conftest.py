@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,24 @@ def brute_force_max_weight(joint: np.ndarray) -> float:
     for m in brute_force_matchings(*joint.shape):
         best = max(best, sum(joint[i, j] for i, j in m))
     return best
+
+
+def trace_digest(trace) -> str:
+    """sha256 of the seven trace columns and of every scored outcome's pairs
+    and transfer bytes (``run(..., record_outcomes=True)``)."""
+    h = hashlib.sha256()
+    for column in (
+        trace.instability,
+        trace.width_sum,
+        trace.certified_bound,
+        trace.revenue,
+        trace.containment,
+        trace.stable_truth,
+        trace.bound_only,
+    ):
+        h.update(np.ascontiguousarray(column).tobytes())
+    for outcome in trace.outcomes:
+        h.update(repr(outcome.matching.pairs).encode())
+        h.update(outcome.customer_transfers.tobytes())
+        h.update(outcome.provider_transfers.tobytes())
+    return h.hexdigest()

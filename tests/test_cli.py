@@ -10,6 +10,7 @@ import pytest
 import smbandits
 from smbandits.cli import build_parser, main
 from smbandits.config import load_config, parse_config
+from smbandits.environment import sweep
 from smbandits.errors import ConfigError
 
 FIG1_INSTANCE = {
@@ -154,6 +155,22 @@ class TestRunCommand:
         assert len(rows) == 1 + 30 * 2
         summary = json.loads((out / "cell_summary.json").read_text())
         assert summary["replicas"] == 2
+        # Round diagnostics over both replicas' 60 rounds.
+        traces = sweep([load_config(cfg)])["cell"].values()
+        assert summary["containment_rate"] == sum(t.containment.sum() for t in traces) / 60
+        assert summary["stable_truth_rate"] == sum(t.stable_truth.sum() for t in traces) / 60
+        assert summary["bound_only_rounds"] == 0
+        assert summary["reused_round_frac"] == sum(t.reused_rounds for t in traces) / 60
+        assert 0 < summary["reused_round_frac"] < 1
+
+    def test_summary_counts_bound_only_rounds(self, tmp_path):
+        # Nine customers exceed the exact NTU solver, so every round records a bound.
+        cfg = base_config(customers=9, providers=9, horizon=5, policy={"kind": "match_ntu_ucb"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 0
+        summary = json.loads((out / "cell_summary.json").read_text())
+        assert summary["bound_only_rounds"] == 10
+        assert summary["reused_round_frac"] == 8 / 10
 
     def test_csv_is_byte_stable(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config(horizon=25))

@@ -17,6 +17,19 @@ from smbandits.market import (
 )
 
 
+class TestRestrict:
+    def test_index_order_returns_the_market(self):
+        u = random_market(np.random.default_rng(1), 3, 2)
+        assert u.restrict(np.arange(3), np.arange(2)) is u
+
+    def test_full_size_arrays_out_of_order_are_gathered(self):
+        u = random_market(np.random.default_rng(2), 3, 2)
+        for cust, prov in [([2, 0, 1], [0, 1]), ([0, 1, 2], [1, 0]), ([0, 0, 2], [0, 1])]:
+            sub = u.restrict(np.array(cust), np.array(prov))
+            np.testing.assert_array_equal(sub.customer_values, u.customer_values[np.ix_(cust, prov)])
+            np.testing.assert_array_equal(sub.provider_values, u.provider_values[np.ix_(prov, cust)])
+
+
 class TestMatchingType:
     def test_rejects_duplicate_agents(self):
         with pytest.raises(ValueError):

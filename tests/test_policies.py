@@ -87,6 +87,18 @@ class TestComputeMatch:
         assert outcome.matching.pairs == ((0, 0),)
         assert outcome.provider_transfers[1] == 0.0
 
+    def test_full_arrivals_out_of_order(self):
+        # Arrivals listing every agent, in another order, are the same agents:
+        # the market is gathered through them, not taken in index order.
+        rng = np.random.default_rng(3)
+        conf = UnstructuredConfidence(3, 3)
+        conf.hi_c = rng.uniform(-1.0, 1.0, (3, 3))
+        conf.hi_p = rng.uniform(-1.0, 1.0, (3, 3))
+        scrambled = compute_match(conf, (np.array([2, 1, 0]), np.array([0, 1, 2])))
+        ordered = compute_match(conf, all_arrivals(3, 3))
+        assert scrambled.matching.pairs == ordered.matching.pairs == ((0, 2),)
+        assert is_stable_tu(conf.ucb_matrix(), scrambled)
+
 
 class TestComputeMatchPrime:
     def test_collapsed_sets_match_compute_match(self):

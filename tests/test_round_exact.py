@@ -6,12 +6,11 @@ and matching of a round went through the checked constructors. The tests
 compare output bytes, signed zeros included, and the certificate's errors.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import trace_digest
 from smbandits import environment as env
 from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
 from smbandits.errors import UncertifiedDuals
@@ -272,25 +271,6 @@ UNSORTED_SCHEDULE_DIGESTS = {
     "match_ntu_ucb": "5b8c93c01745701c402bda8af837de5f6a0aedd982a621a32235ffd0bc102915",
     "revenue_frictions": "025258d131d8b9650683386548a464f747224e9909c39609ade35d1e2fe06ec1",
 }
-
-
-def trace_digest(trace) -> str:
-    h = hashlib.sha256()
-    for column in (
-        trace.instability,
-        trace.width_sum,
-        trace.certified_bound,
-        trace.revenue,
-        trace.containment,
-        trace.stable_truth,
-        trace.bound_only,
-    ):
-        h.update(np.ascontiguousarray(column).tobytes())
-    for outcome in trace.outcomes:
-        h.update(repr(outcome.matching.pairs).encode())
-        h.update(outcome.customer_transfers.tobytes())
-        h.update(outcome.provider_transfers.tobytes())
-    return h.hexdigest()
 
 
 def schedule_trace(kind: str, schedule: tuple):

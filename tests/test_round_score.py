@@ -106,6 +106,14 @@ class TestFusedEqualsSeparate:
             prov = np.array([j for j in range(6) if j in matched_p or rng.random() < 0.5], dtype=int)
             assert_fused_equals_separate(u.restrict(cust, prov), _restrict_outcome(outcome, cust, prov))
 
+    def test_full_size_arrivals_out_of_order_are_reindexed(self):
+        outcome = MarketOutcome(Matching([(0, 1), (2, 0)]), np.array([1.0, 2.0, -3.0]), np.array([3.0, -1.0, 0.0]))
+        assert _restrict_outcome(outcome, np.arange(3), np.arange(3)) is outcome
+        sub = _restrict_outcome(outcome, np.array([2, 0, 1]), np.array([1, 0, 2]))
+        assert sub.matching.pairs == ((0, 1), (1, 0))
+        assert sub.customer_transfers.tolist() == [-3.0, 1.0, 2.0]
+        assert sub.provider_transfers.tolist() == [-1.0, 3.0, 0.0]
+
     def test_outcomes_from_duals_are_stable_with_zero_value(self):
         rng = np.random.default_rng(36)
         for k in range(300):
