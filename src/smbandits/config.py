@@ -26,14 +26,21 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _of_type(x, types: type | tuple[type, ...]) -> bool:
+    """``isinstance(x, types)``, false for a JSON boolean, which Python
+    reads as the int 0 or 1."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def _take(obj: dict, path: str, allowed: dict[str, type | tuple[type, ...]]) -> dict:
-    """Check types of present keys and reject unknown ones."""
+    """Check types of present keys and reject unknown ones; no key takes a
+    boolean."""
     _require(isinstance(obj, dict), path, "expected an object")
     unknown = set(obj) - set(allowed)
     _require(not unknown, path, f"unknown keys {sorted(unknown)}")
     for key, types in allowed.items():
         if key in obj:
-            _require(isinstance(obj[key], types), f"{path}.{key}", f"expected {types}")
+            _require(_of_type(obj[key], types), f"{path}.{key}", f"expected {types}")
     return obj
 
 
@@ -80,7 +87,7 @@ def _parse_agents(raw, path: str, count: int) -> tuple[int, ...]:
     _require(isinstance(raw, list), path, "expected a list of agent indices")
     for k, x in enumerate(raw):
         _require(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < count,
+            _of_type(x, int) and 0 <= x < count,
             f"{path}[{k}]",
             f"must be an agent index in [0, {count})",
         )
@@ -128,6 +135,12 @@ def _parse_noise(obj: dict, path: str) -> NoiseSpec:
 def _parse_truth(obj: dict, path: str, n_c: int, n_p: int) -> UtilityMatrix:
     _take(obj, path, {"customer_values": list, "provider_values": list})
     _require("customer_values" in obj and "provider_values" in obj, path, "needs both value matrices")
+    for key in ("customer_values", "provider_values"):
+        _require(
+            all(isinstance(row, list) and all(_of_type(x, (int, float)) for x in row) for row in obj[key]),
+            f"{path}.{key}",
+            "must be a list of rows of numbers",
+        )
     try:
         truth = UtilityMatrix(np.asarray(obj["customer_values"]), np.asarray(obj["provider_values"]))
     except ValueError as exc:
@@ -174,7 +187,9 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
     _require(obj["horizon"] > 0, f"{path}.horizon", "must be positive")
     seeds = obj["seeds"]
     _require(bool(seeds), f"{path}.seeds", "must be a non-empty list")
-    _require(all(isinstance(s, int) for s in seeds), f"{path}.seeds", "entries must be integers")
+    _require(all(_of_type(s, int) for s in seeds), f"{path}.seeds", "entries must be integers")
+    for key in ("num_types", "dim"):
+        _require(obj.get(key, 1) >= 1, f"{path}.{key}", "must be at least 1")
     policy = _parse_policy(obj["policy"], f"{path}.policy")
     # Typed and linear sets read the structure of an instance of that class.
     sets = POLICY_KINDS[policy.kind][1].mode

@@ -289,6 +289,7 @@ class RegretTrace:
     bound_only: np.ndarray  # bool: instability column holds a bound, not the exact value
     outcomes: list[MarketOutcome] | None = None  # populated when record_outcomes=True
     reused_rounds: int = 0  # rounds that replayed the previous round's outcome and score
+    info: dict[str, np.ndarray] | None = None  # one column per RoundDecision.info key, when the policy records one
 
     @property
     def cum_regret(self) -> np.ndarray:
@@ -316,9 +317,10 @@ def run(
     ``record_outcomes`` keeps each round's scored outcome on the trace for
     post-hoc inspection.
 
-    A round whose decision holds the very outcome objects of the round before,
-    on bytewise the same arrivals, reuses that round's score; a reused
-    ``bound_only`` round records its own certified bound.
+    A round whose decision scores the very outcome object of the round
+    before, on bytewise the same arrivals, reuses that round's score; a
+    reused ``bound_only`` round records its own certified bound, and a
+    reused revenue round judges its own published outcome.
     """
     policy = spec.build(instance, horizon)
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
@@ -336,7 +338,8 @@ def run(
     stable_truth = np.zeros(horizon, dtype=bool)
     bound_only = np.zeros(horizon, dtype=bool)
     outcomes: list[MarketOutcome] | None = [] if record_outcomes else None
-    last: tuple | None = None  # outcome objects, arrival bytes and _judge result of the last judged round
+    infos: list[dict] = []
+    last: tuple | None = None  # scored outcome, arrival bytes and _judge result of the last judged round
     reused_rounds = 0
 
     for t in range(horizon):
@@ -348,18 +351,16 @@ def run(
 
         decision = policy.step((cust, prov), feedback)
         arrived = (cust.tobytes(), prov.tobytes())
-        if (
-            last is not None
-            and last[0] is decision.outcome
-            and last[1] is decision.scored_outcome
-            and last[2] == arrived
-        ):
+        if last is not None and last[0] is decision.scored_outcome and last[1] == arrived:
             reused_rounds += 1
-            inst, stable_truth[t], bound_only[t] = last[3]
+            inst, stable_truth[t], bound_only[t] = last[2]
+            if fee > 0:
+                # The published transfers refund this round's widths.
+                stable_truth[t] = _eps_stable(truth.restrict(cust, prov), decision.outcome, cust, prov, fee)
         else:
             judged = _judge(truth, decision, cust, prov, ntu, fee)
             inst, stable_truth[t], bound_only[t] = judged
-            last = (decision.outcome, decision.scored_outcome, arrived, judged)
+            last = (decision.scored_outcome, arrived, judged)
         if bound_only[t]:
             inst = decision.certified_instability_bound
 
@@ -370,6 +371,8 @@ def run(
         containment[t] = contained
         if outcomes is not None:
             outcomes.append(decision.scored_outcome)
+        if decision.info is not None:
+            infos.append(decision.info)
 
     return RegretTrace(
         seed=instance.seed,
@@ -384,6 +387,7 @@ def run(
         bound_only=bound_only,
         outcomes=outcomes,
         reused_rounds=reused_rounds,
+        info={key: np.array([info[key] for info in infos]) for key in infos[0]} if infos else None,
     )
 
 
@@ -403,11 +407,18 @@ def _judge(
         return inst, is_stable_ntu(truth_sub, sub_outcome.matching), bound
     if fee > 0:
         inst = subset_instability_value(truth_sub, sub_outcome)
-        judged = _restrict_outcome(decision.outcome, cust, prov)
-        return inst, stability_inequalities_hold(truth_sub, judged, fee), False
+        return inst, _eps_stable(truth_sub, decision.outcome, cust, prov, fee), False
     # One gain matrix gives the value and the is_stable_tu flag.
     inst, stable = subset_instability_and_stability(truth_sub, sub_outcome)
     return inst, stable, False
+
+
+def _eps_stable(
+    truth_sub: UtilityMatrix, published: MarketOutcome, cust: np.ndarray, prov: np.ndarray, fee: float
+) -> bool:
+    """Whether the published outcome is ``fee``-stable for the truth on the
+    arrival submarket ``truth_sub``."""
+    return stability_inequalities_hold(truth_sub, _restrict_outcome(published, cust, prov), fee)
 
 
 def _draw_arrivals(
@@ -551,7 +562,9 @@ def summarize(traces: dict[int, RegretTrace]) -> dict:
     round diagnostics over every replica: the share of rounds whose sets
     contained the truth, the share stable for the truth, the ``bound_only``
     round count and the share of rounds that reused the previous round's
-    outcome and score."""
+    outcome and score. ``match_ucb_prime`` replicas add their rounds per
+    branch and the 10th, 50th and 90th percentiles of the gap over the
+    rounds that did not fall back (None without such rounds)."""
     ordered = [traces[s] for s in sorted(traces)]
     rounds = sum(t.horizon for t in ordered)
     finals = np.array([t.cum_regret[-1] for t in ordered])
@@ -562,7 +575,7 @@ def summarize(traces: dict[int, RegretTrace]) -> dict:
     ts = np.arange(1, horizon + 1)[lo:]
     ys = np.maximum(curve[lo:], 1e-12)
     slope = float(np.polyfit(np.log(ts), np.log(ys), 1)[0]) if len(ts) >= 2 else 0.0
-    return {
+    summary = {
         "replicas": len(ordered),
         "final_cum_regret_mean": mean,
         "final_cum_regret_stderr": stderr,
@@ -572,3 +585,10 @@ def summarize(traces: dict[int, RegretTrace]) -> dict:
         "bound_only_rounds": sum(int(t.bound_only.sum()) for t in ordered),
         "reused_round_frac": sum(t.reused_rounds for t in ordered) / rounds,
     }
+    if ordered[0].policy_kind == "match_ucb_prime":
+        branch = np.concatenate([t.info["branch"] for t in ordered])
+        gap = np.concatenate([t.info["gap"] for t in ordered])[branch != "fallback"]
+        summary["branch_counts"] = {b: int((branch == b).sum()) for b in ("fallback", "robust", "expanded")}
+        for q in (10, 50, 90):
+            summary[f"gap_p{q}"] = float(np.percentile(gap, q)) if gap.size else None
+    return summary

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceSets, TypedConfidence, UnstructuredConfidence
-from .errors import NoAlternative
 from .market import (
     TOL,
     Matching,
@@ -25,6 +24,7 @@ from .market import (
     assignment_pairs,
     assignment_with_duals,
     certified_duals,
+    heaviest_matchings,
     second_best_matching,
 )
 
@@ -72,6 +72,39 @@ def expanded_upper_bounds(conf: ConfidenceSets) -> UtilityMatrix:
     return UtilityMatrix._trusted(hi_c, hi_p)
 
 
+def _best_and_gap(ucb: UtilityMatrix, joint: np.ndarray) -> tuple[Matching | None, float]:
+    """The best matching of ``joint`` and its gap to the second best, or
+    (None, 0.0) when that gap is at most TOL.
+
+    Small markets read both from the matching table: its gap, best minus
+    second-best table weight, is at most TOL beyond the float-error band, or
+    its best and second-best matchings are each heavier than the next by more
+    than the band. Any other case, and larger markets, take the solver and
+    Murty's branching. Either way a gap that is played is the left-to-right
+    difference of the two matchings' weights.
+    """
+    ranked = heaviest_matchings(joint, 3)
+    if ranked is not None:
+        (best, second, _), (w1, w2, w3), band = ranked
+        if w1 - w2 < TOL - band:
+            return None, 0.0
+        if w1 - w2 > TOL + band and w2 - w3 > band:
+            return best, best.weight(joint) - second.weight(joint)
+    best = Matching._from_disjoint(tuple(assignment_pairs(joint)))
+    return best, best.weight(joint) - second_best_matching(ucb, best)[1]
+
+
+def _best_matching(joint: np.ndarray) -> Matching:
+    """The matching :func:`assignment_pairs` returns, from the matching table
+    when the best table weight leads the next by more than the band."""
+    ranked = heaviest_matchings(joint, 2)
+    if ranked is not None:
+        (best, _), (w1, w2), band = ranked
+        if w1 - w2 > band:
+            return best
+    return Matching._from_disjoint(tuple(assignment_pairs(joint)))
+
+
 def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[MarketOutcome, dict]:
     """Gap-aware variant selecting robust dual prices.
 
@@ -91,17 +124,13 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     gap = 0.0
     if len(cust) and len(prov):
         joint = ucb.joint()
-        x_star = Matching._from_disjoint(tuple(assignment_pairs(joint)))
-        try:
-            gap = x_star.weight(joint) - second_best_matching(ucb, x_star)[1]
-        except NoAlternative:
-            pass
+        x_star, gap = _best_and_gap(ucb, joint)
     if gap <= TOL:
         return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
 
     ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
     joint2 = ucb2.joint()
-    x_expanded = Matching._from_disjoint(tuple(assignment_pairs(joint2)))
+    x_expanded = _best_matching(joint2)
     if x_expanded.pairs != x_star.pairs:
         p2_c, p2_p = certified_duals(joint2, x_expanded)
         outcome = _outcome_from_duals(ucb2, x_expanded.pairs, p2_c, p2_p, cust, prov, n_c, n_p)

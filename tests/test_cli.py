@@ -118,6 +118,23 @@ class TestConfigParsing:
             # The policy kind picks the NTU metric and the eps judgement.
             ({"ntu": True}, r"config: unknown keys \['ntu'\]"),
             ({"stability_eps": 0.3}, r"config: unknown keys \['stability_eps'\]"),
+            # JSON booleans are not numbers, although Python reads them as 0 and 1.
+            ({"customers": True}, r"config\.customers"),
+            ({"horizon": True}, r"config\.horizon"),
+            ({"seeds": [True, False]}, r"config\.seeds"),
+            ({"schema_version": True}, r"config\.schema_version"),
+            ({"policy": {"kind": "match_ucb", "ucb_scale": True}}, r"config\.policy\.ucb_scale"),
+            ({"policy": {"kind": "etc", "etc_pulls_per_pair": False}}, r"config\.policy\.etc_pulls_per_pair"),
+            ({"noise": {"kind": "gaussian", "sigma": True}}, r"config\.noise\.sigma"),
+            (
+                {"class": "typed", "num_types": 0, "policy": {"kind": "match_typed_ucb"}},
+                r"config\.num_types",
+            ),
+            ({"class": "linear", "dim": 0, "policy": {"kind": "match_lin_ucb"}}, r"config\.dim"),
+            (
+                {"truth": {"customer_values": [[True, 0.5], [0.2, 0.3]], "provider_values": [[0.1, 0.2], [0.3, 0.4]]}},
+                r"config\.truth\.customer_values",
+            ),
         ],
         ids=[
             "schedule_out_of_range",
@@ -133,6 +150,16 @@ class TestConfigParsing:
             "linear_sets_need_linear_class",
             "ntu_key",
             "stability_eps_key",
+            "customers_bool",
+            "horizon_bool",
+            "seeds_bool",
+            "schema_version_bool",
+            "ucb_scale_bool",
+            "etc_pulls_bool",
+            "sigma_bool",
+            "num_types_zero",
+            "dim_zero",
+            "truth_bool",
         ],
     )
     def test_rejected_at_parse_time_with_key_path(self, overrides, key_path):
@@ -162,6 +189,27 @@ class TestRunCommand:
         assert summary["bound_only_rounds"] == 0
         assert summary["reused_round_frac"] == sum(t.reused_rounds for t in traces) / 60
         assert 0 < summary["reused_round_frac"] < 1
+        assert "branch_counts" not in summary and "gap_p50" not in summary
+
+    def test_prime_summary_reports_branches_and_gaps(self, tmp_path):
+        policy = {"kind": "match_ucb_prime", "ucb_scale": 1.0}
+        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=50, policy=policy))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "cell_summary.json").read_text())
+        traces = sweep([load_config(cfg)])["cell"].values()
+        branch = np.concatenate([t.info["branch"] for t in traces])
+        gap = np.concatenate([t.info["gap"] for t in traces])
+        counts = summary["branch_counts"]
+        assert counts == {b: int((branch == b).sum()) for b in ("fallback", "robust", "expanded")}
+        assert sum(counts.values()) == 100 and min(counts.values()) > 0
+        played = gap[branch != "fallback"]
+        assert played.min() > 0
+        for q in (10, 50, 90):
+            assert summary[f"gap_p{q}"] == np.percentile(played, q)
+        rows = (out / "cell_trace.csv").read_text().splitlines()
+        assert rows[0] == "round,seed,instability,cum_regret,width_sum,revenue,bound_only"
+        assert len(rows) == 1 + 50 * 2
 
     def test_summary_counts_bound_only_rounds(self, tmp_path):
         # Nine customers exceed the exact NTU solver, so every round records a bound.

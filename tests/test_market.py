@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_matchings, brute_force_max_weight, random_market, random_zero_sum_outcome
 from smbandits.errors import InvalidOutcome, NoAlternative, UncertifiedDuals
@@ -218,3 +222,41 @@ class TestStabilityNTU:
     def test_empty_matching_when_all_negative(self):
         u = UtilityMatrix(np.array([[-0.5, -0.2]]), np.array([[-0.1], [-0.9]]))
         assert is_stable_ntu(u, Matching())
+
+
+# -- property: second best = heaviest of all other matchings ---------------------
+
+
+def all_matchings(n_c: int, n_p: int):
+    """Every matching of an n_c x n_p market as a sorted pair tuple."""
+    for k in range(min(n_c, n_p) + 1):
+        for rows in itertools.combinations(range(n_c), k):
+            for cols in itertools.permutations(range(n_p), k):
+                yield tuple(zip(rows, cols))
+
+
+@st.composite
+def small_markets(draw):
+    """1x1 to 4x4 markets with entries in quarters from -1 to 1 (ties, zeros
+    and negative entries are common) or any float in [-1, 1]."""
+    n_c = draw(st.integers(1, 4))
+    n_p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        entries = st.integers(-4, 4).map(lambda k: k / 4.0)
+    else:
+        entries = st.floats(-1.0, 1.0, allow_nan=False)
+    cv = draw(st.lists(entries, min_size=n_c * n_p, max_size=n_c * n_p))
+    pv = draw(st.lists(entries, min_size=n_c * n_p, max_size=n_c * n_p))
+    return UtilityMatrix(np.reshape(cv, (n_c, n_p)), np.reshape(pv, (n_p, n_c)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(small_markets())
+def test_second_best_is_heaviest_other_matching(u):
+    best, _ = max_weight_matching_with_duals(u)
+    second, weight = second_best_matching(u, best)
+    joint = u.customer_values + u.provider_values.T
+    others = [sum(joint[i, j] for i, j in m) for m in all_matchings(*joint.shape) if m != best.pairs]
+    assert second.pairs != best.pairs
+    assert weight == pytest.approx(max(others), abs=1e-12)
+    assert weight == second.weight(joint)

@@ -18,6 +18,7 @@ from conftest import trace_digest
 from smbandits import environment as env
 from smbandits import policies as pol
 from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
+from smbandits.market import MarketOutcome
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -72,7 +73,9 @@ ALL3 = (0, 1, 2)
 SCHEDULE = env.ArrivalSpec(kind="fixed", schedule=((ALL3, ALL3), (ALL3, ALL3), ((2, 0), (1, 2)), ((2, 0), (1, 2))))
 
 OTHER_CASES = {
+    # The base outcome repeats while the published transfers change with the widths.
     "revenue_frictions": ("unstructured", 3, 3, env.PolicySpec("revenue_frictions"), env.ArrivalSpec(), 200),
+    "iid_revenue": ("unstructured", 4, 4, env.PolicySpec("revenue_frictions"), IID_HALF, 200),
     # Three pulls per pair: about ten exploration rounds, then the committed phase.
     "etc": ("unstructured", 3, 3, env.PolicySpec("etc", etc_pulls_per_pair=3), env.ArrivalSpec(), 200),
     "iid_ucb": ("unstructured", 4, 4, env.PolicySpec("match_ucb"), IID_HALF, 200),
@@ -100,7 +103,7 @@ def test_other_policies_and_arrivals(monkeypatch, case):
         if case == "etc":
             # At least nine exploration rounds, then a committed phase.
             assert horizon // 2 < reused.reused_rounds < horizon - 9
-        if case.startswith("fixed"):
+        if case.startswith("fixed") or case == "revenue_frictions":
             assert reused.reused_rounds > 0
 
 
@@ -156,3 +159,28 @@ def test_memo_compares_bytes_not_values():
     assert policy._memo(fn, arrivals, conf.hi_c, conf.hi_p) is not first
     assert policy._memo(fn, (np.arange(1), np.arange(2)), conf.hi_c, conf.hi_p) is not first
     assert len(calls) == 3
+
+
+def test_reused_revenue_round_judges_its_published_outcome(monkeypatch):
+    # The same base outcome every round, published alternately as it is
+    # (zero-sum and stable for the truth) and with a fee of 10 on each
+    # matched agent, which breaks individual rationality.
+    instance = env.gen_instance("unstructured", 3, 3, 0)
+    truth = instance.truth
+    conf = UnstructuredConfidence(3, 3)
+    conf.collapse_to(truth)
+    base = pol.compute_match(conf, pol.all_arrivals(3, 3))
+    ci, pj = base.matching.index_arrays
+    charged = MarketOutcome(base.matching, base.customer_transfers.copy(), base.provider_transfers.copy())
+    charged.customer_transfers[ci] -= 10.0
+    charged.provider_transfers[pj] -= 10.0
+
+    def select(self, arrivals):
+        published = charged if self.round_index % 2 == 0 else base
+        return pol.RoundDecision(published, 0.0, 0.0, 0.0, scored_outcome=base)
+
+    monkeypatch.setattr(pol.RevenueFrictionsPolicy, "_select", select)
+    trace = env.run(instance, env.PolicySpec("revenue_frictions"), 6)
+    assert trace.reused_rounds == 5
+    assert trace.stable_truth.tolist() == [True, False] * 3
+    assert len(set(trace.instability.tolist())) == 1
