@@ -105,12 +105,16 @@ def _finite_array(raw, where: str, ndim: int) -> np.ndarray:
     """``raw`` as a float array of ``ndim`` dimensions with finite entries.
 
     Strings, nulls, objects and ragged nesting raise ConfigError at
-    ``where``, and so do NaN and Infinity, which Python's ``json`` accepts."""
+    ``where``, and so do NaN and Infinity, which Python's ``json`` accepts,
+    and booleans in a 1-D array."""
     try:
         arr = np.asarray(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+    # ``np.asarray`` reads true and false among numbers as 1 and 0. One type
+    # pass catches them in the transfers; over the value matrices it would
+    # cost about as much as the conversion itself, so they skip it.
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or (ndim == 1 and bool in set(map(type, raw))):
         raise ConfigError(f"{where}: expected a {ndim}-D array of numbers")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():

@@ -318,28 +318,28 @@ class LinearConfidence(ConfidenceSets):
         )
 
     def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
-        # Each agent is matched at most once per round, so every side updates
-        # a set of distinct slots: one stacked solve and one stacked inverse.
-        # The stacked matmuls below keep each agent's centre and norm equal,
-        # to the last bit, to the one-agent products ``partners @ phi`` and
-        # ``np.linalg.norm(phi)``; ``phi @ P.T`` or an einsum would not.
-        root_beta = np.sqrt(self.beta(horizon))
+        # Each agent is matched at most once per round, so both sides stack
+        # into 2k distinct slots, customers first, for one update, solve and
+        # inverse (LAPACK treats each matrix as a one-agent call would); only
+        # centre and bonus, whose partners differ, stay per side. The matmuls
+        # match ``partners @ phi`` and ``np.linalg.norm(phi)`` to the last bit.
         cc, pc = self.customer_contexts, self.provider_contexts
-        for slots, rows, partners, ctx, r, lo, hi in (
-            (ci, ci, pc, pc[pj], r_c, self.lo_c, self.hi_c),
-            (self.num_customers + pj, pj, cc, cc[ci], r_p, self.lo_p, self.hi_p),
+        slots = np.concatenate((ci, self.num_customers + pj))
+        ctx = np.concatenate((pc[pj], cc[ci]))
+        self.V[slots] = V = self.V[slots] + ctx[:, :, None] * ctx[:, None, :]
+        self.b[slots] = b = self.b[slots] + np.concatenate((r_c, r_p))[:, None] * ctx
+        self.pulls[slots] += 1
+        phi = np.linalg.solve(V, b[:, :, None])[:, :, 0]
+        norm = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, :])
+        self.phi_hat[slots] = np.divide(phi, norm, out=phi, where=norm > 1.0)
+        V_inv = np.linalg.inv(V)
+        root_beta = np.sqrt(self.beta(horizon))
+        for side, rows, partners, lo, hi in (
+            (slice(None, len(ci)), ci, pc, self.lo_c, self.hi_c),
+            (slice(len(ci), None), pj, cc, self.lo_p, self.hi_p),
         ):
-            self.V[slots] += ctx[:, :, None] * ctx[:, None, :]
-            self.b[slots] += r[:, None] * ctx
-            self.pulls[slots] += 1
-            V = self.V[slots]
-            phi = np.linalg.solve(V, self.b[slots][:, :, None])[:, :, 0]
-            norm = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
-            outside = norm > 1.0
-            phi[outside] /= norm[outside, None]
-            self.phi_hat[slots] = phi
-            center = (partners[None] @ phi[:, :, None])[:, :, 0]
-            bonus = root_beta * np.sqrt(np.einsum("nd,kde,ne->kn", partners, np.linalg.inv(V), partners))
+            center = (partners[None] @ phi[side, :, None])[:, :, 0]
+            bonus = root_beta * np.sqrt(np.einsum("nd,kde,ne->kn", partners, V_inv[side], partners))
             lo[rows] = np.maximum(-1.0, center - bonus)
             hi[rows] = np.minimum(1.0, center + bonus)
 

@@ -360,6 +360,8 @@ class TestScoreCommand:
             ({"matching": [[0, 1]], "customer_transfers": [float("nan"), 0]}, "customer_transfers"),
             ({"matching": [[0, 1]], "provider_transfers": [0, float("inf")]}, "provider_transfers"),
             ({"matching": [[0, 1]], "customer_transfers": [None, 0]}, "customer_transfers"),
+            ({"matching": [[0, 1]], "provider_transfers": [False, -1.5]}, "provider_transfers"),
+            ({"matching": [[0, 1]], "customer_transfers": [True, 0]}, "customer_transfers"),
             ({"matching": [[0, 1]], "ntu": "false"}, "ntu"),
             ({"matching": [[0.9, 1]]}, "matching[0][0]"),
             ({"matching": [[True, 1]]}, "matching[0][0]"),
@@ -371,6 +373,8 @@ class TestScoreCommand:
             "transfer_nan",
             "transfer_infinity",
             "transfer_null",
+            "transfer_bool",
+            "transfer_bool_int",
             "ntu_string",
             "index_float",
             "index_bool",

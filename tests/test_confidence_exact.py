@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import trace_digest
 
+from smbandits import environment as env
 from smbandits.confidence import (
     ConfidenceConfig,
     LinearConfidence,
@@ -57,6 +59,7 @@ def reference_typed(conf, pairs, r_c, r_p, horizon):
 
 
 def reference_linear(conf, pairs, r_c, r_p, horizon):
+    """One agent at a time; returns how many estimates were projected onto the ball."""
     n_c = conf.num_customers
     updated = []
     for k, (i, j) in enumerate(pairs):
@@ -65,11 +68,13 @@ def reference_linear(conf, pairs, r_c, r_p, horizon):
             conf.b[slot] += float(r) * ctx
             conf.pulls[slot] += 1
             updated.append(slot)
+    projected = 0
     for slot in updated:
         phi = np.linalg.solve(conf.V[slot], conf.b[slot])
         norm = np.linalg.norm(phi)
         if norm > 1.0:
             phi = phi / norm
+            projected += 1
         conf.phi_hat[slot] = phi
         customer_side = slot < n_c
         partners = conf.provider_contexts if customer_side else conf.customer_contexts
@@ -82,6 +87,7 @@ def reference_linear(conf, pairs, r_c, r_p, horizon):
         row = slot if customer_side else slot - n_c
         lo[row] = np.maximum(-1.0, center - bonus)
         hi[row] = np.minimum(1.0, center + bonus)
+    return projected
 
 
 def unit_rows(rng, count, dim):
@@ -100,17 +106,25 @@ def random_round(rng, n_c, n_p):
 
 def assert_same_state(got, want, names):
     for name in names + ("lo_c", "hi_c", "lo_p", "hi_p"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        g, w = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(g, w, err_msg=name)
+        # Bytes too: equal values may still differ in the sign of a zero.
+        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
 
 
 def play(make, reference, names, rng, n_c, n_p, rounds=40):
+    """Play random rounds on the batched update and on ``reference``; return
+    the reference's results and the matchings' sizes."""
     got, want = make(), make()
     horizon = int(rng.integers(10, 1000))
+    results, sizes = [], []
     for _ in range(rounds):
         pairs, r_c, r_p = random_round(rng, n_c, n_p)
         got.update(Matching(pairs), (r_c, r_p), horizon)
-        reference(want, pairs, r_c, r_p, horizon)
+        results.append(reference(want, pairs, r_c, r_p, horizon))
+        sizes.append(len(pairs))
         assert_same_state(got, want, names)
+    return results, sizes
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -141,20 +155,55 @@ def test_typed_matches_reference(seed):
     )
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("seed", range(3))
-def test_linear_matches_reference(dim, seed):
-    rng = np.random.default_rng(1000 * dim + seed)
-    n_c, n_p = (int(x) for x in rng.integers(1, 10, 2))
+def play_linear(rng, n_c, n_p, dim):
     cc, pc = unit_rows(rng, n_c, dim), unit_rows(rng, n_p, dim)
     config = ConfidenceConfig(
         lin_beta_d_coeff=NARROW.lin_beta_d_coeff,
         lin_beta_log_coeff=NARROW.lin_beta_log_coeff,
         lin_ridge=float(rng.uniform(0.2, 2.0)),
     )
-    play(
+    projected, sizes = play(
         lambda: LinearConfidence(cc, pc, config),
         reference_linear,
         ("V", "b", "phi_hat", "pulls"),
         rng, n_c, n_p,
     )
+    # Rewards far outside [-1, 1] drive some estimates out of the unit ball.
+    assert sum(projected) > 0
+    return sizes
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_matches_reference(dim, seed):
+    rng = np.random.default_rng(1000 * dim + seed)
+    n_c, n_p = (int(x) for x in rng.integers(1, 10, 2))
+    play_linear(rng, n_c, n_p, dim)
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (9, 4)], ids=["5x9", "9x4"])
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_linear_rectangular_matches_reference(shape, dim):
+    rng = np.random.default_rng(100 * dim + shape[0])
+    sizes = play_linear(rng, *shape, dim)
+    assert any(0 < k < min(shape) for k in sizes), sizes
+
+
+# conftest.trace_digest of two 300-round match_lin_ucb runs, recorded while
+# each side of a round was updated by its own solve and inverse:
+# (customers, providers, seed, arrivals) and the digest.
+LINEAR_RUNS = {
+    "all_12x12": ((12, 12, 4, env.ArrivalSpec()), "6990d8c9bb2154a2b01b3523d772ce12f93377d158b236da3a2edefb33c28d2f"),
+    "iid_9x4": (
+        (9, 4, 7, env.ArrivalSpec(kind="iid_subset", probability=0.6)),
+        "a179d274fa872f13e64b35f9ed7cc80ab1c3cc2ebb37d8eba54880c623f8cd38",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_RUNS))
+def test_linear_trajectory_digest(name):
+    (n_c, n_p, seed, arrival), digest = LINEAR_RUNS[name]
+    instance = env.gen_instance("linear", n_c, n_p, seed=seed, arrival=arrival)
+    trace = env.run(instance, env.PolicySpec("match_lin_ucb"), 300, record_outcomes=True)
+    assert trace_digest(trace) == digest
