@@ -38,7 +38,6 @@ from .instability import (
 )
 from .market import (
     AgentId,
-    DualPrices,
     Matching,
     MarketOutcome,
     Side,
@@ -47,9 +46,9 @@ from .market import (
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
+    payoff_inequalities_hold,
     provider,
     second_best_matching,
-    stability_inequalities_hold,
 )
 from .policies import (
     RoundDecision,

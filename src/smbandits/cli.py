@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,16 +43,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve_threads(flag: int | None) -> int:
-    env_value = os.environ.get("SMB_THREADS")
-    if env_value is not None:
-        try:
-            return max(1, int(env_value))
-        except ValueError as exc:
-            raise ConfigError(f"SMB_THREADS must be an integer, got {env_value!r}") from exc
-    return max(1, flag or 1)
-
-
 def write_trace_csv(path: Path, traces: dict[int, env.RegretTrace]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for seed in sorted(traces):
@@ -77,11 +66,12 @@ def write_trace_csv(path: Path, traces: dict[int, env.RegretTrace]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
     config = load_config(args.config)
-    threads = _resolve_threads(args.threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = env.sweep([config], threads=threads)
+    results = env.sweep([config], threads=args.threads)
     traces = results[config.name]
     write_trace_csv(out_dir / f"{config.name}_trace.csv", traces)
     summary = env.summarize(traces)
@@ -219,10 +209,8 @@ def _verify_properties(seed: int, cases: int) -> list[str]:
         n_p = int(rng.integers(1, 5))
         u = UtilityMatrix(rng.uniform(-1, 1, (n_c, n_p)), rng.uniform(-1, 1, (n_p, n_c)))
         match, duals = max_weight_matching_with_duals(u)
-        record(
-            abs(duals.total() - match.total_utility(u)) < 1e-9,
-            f"case {case}: duality gap {duals.total() - match.total_utility(u):.2e}",
-        )
+        gap = float(duals[0].sum() + duals[1].sum()) - match.total_utility(u)
+        record(abs(gap) < 1e-9, f"case {case}: duality gap {gap:.2e}")
         reconstructed = stable_outcome_from_duals(u, match, duals)
         record(is_stable_tu(u, reconstructed, 0.0), f"case {case}: reconstructed outcome unstable")
 
@@ -291,6 +279,8 @@ def _verify_properties(seed: int, cases: int) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.cases < 0:
+        raise ConfigError(f"--cases: must be at least 0, got {args.cases}")
     failures = _verify_properties(args.seed, args.cases)
     if failures:
         for note in failures:
@@ -331,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel replicas (SMB_THREADS overrides)")
+    p_run.add_argument("--threads", type=int, default=1, help="parallel replicas, at least 1")
     p_run.add_argument("--out", default="results", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the randomized property suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=200)
+    p_verify.add_argument("--cases", type=int, default=200, help="randomized cases, at least 0")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

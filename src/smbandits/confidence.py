@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidContext, ProtocolViolation
-from .market import Matching, Side, UtilityMatrix
+from .market import Matching, UtilityMatrix
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.nd
 class ConfidenceSets:
     """Common interval surface; subclasses own the update rule."""
 
-    mode: str  # "unstructured" | "typed" | "linear", as in snapshots
+    mode: str  # "unstructured" | "typed" | "linear"
 
     def __init__(self, num_customers: int, num_providers: int) -> None:
         self.num_customers = num_customers
@@ -127,28 +127,6 @@ class ConfidenceSets:
             and (truth.provider_values <= self.hi_p + tol).all()
         )
 
-    def snapshot(self) -> dict:
-        """JSON-serializable per-pair state for checkpoints and diagnostics."""
-        pairs = []
-        for i in range(self.num_customers):
-            for j in range(self.num_providers):
-                n = self._pair_count(i, j)
-                for side, a, b, lo, hi in (
-                    (Side.CUSTOMER, i, j, self.lo_c, self.hi_c),
-                    (Side.PROVIDER, j, i, self.lo_p, self.hi_p),
-                ):
-                    pairs.append(
-                        {"side": side.value, "agent": a, "partner": b, "lo": float(lo[a, b]),
-                         "hi": float(hi[a, b]), "n": n, "mean": self._pair_mean(side, a, b)}
-                    )
-        return {"mode": self.mode, "pairs": pairs}
-
-    def _pair_count(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
-    def _pair_mean(self, side: Side, a: int, b: int) -> float:
-        raise NotImplementedError
-
     # -- test/diagnostic helpers ----------------------------------------------
     def collapse_to(self, truth: UtilityMatrix) -> None:
         """Degenerate all intervals to the true utilities (oracle sets)."""
@@ -182,20 +160,6 @@ class UnstructuredConfidence(ConfidenceSets):
         hw = self.config.ucb_scale * np.sqrt(log_term / n)
         self.lo_c[ci, pj], self.hi_c[ci, pj] = _clip_intervals(mean_c, hw)
         self.lo_p[pj, ci], self.hi_p[pj, ci] = _clip_intervals(mean_p, hw)
-
-    def nominal_width(self, i: int, j: int, horizon: int) -> float:
-        """Pre-clip width 2 * scale * sqrt(log(|A|T)/n); monotone in pulls."""
-        n = self.counts[i, j]
-        if n == 0:
-            return 2.0
-        log_term = math.log(max(self.num_agents * horizon, 2))
-        return min(2.0, 2.0 * self.config.ucb_scale * math.sqrt(log_term / n))
-
-    def _pair_count(self, i: int, j: int) -> int:
-        return int(self.counts[i, j])
-
-    def _pair_mean(self, side: Side, a: int, b: int) -> float:
-        return float(self.mean_c[a, b] if side is Side.CUSTOMER else self.mean_p[a, b])
 
 
 class TypedConfidence(ConfidenceSets):
@@ -264,14 +228,6 @@ class TypedConfidence(ConfidenceSets):
         self.lo_p = lo[self._cell_p]
         self.hi_p = hi[self._cell_p]
 
-    def _pair_count(self, i: int, j: int) -> int:
-        return int(self.type_counts[self.customer_types[i], self.provider_types[j]])
-
-    def _pair_mean(self, side: Side, a: int, b: int) -> float:
-        if side is Side.CUSTOMER:
-            return float(self.type_mean[self.customer_types[a], self.provider_types[b]])
-        return float(self.type_mean[self.provider_types[a], self.customer_types[b]])
-
 
 class LinearConfidence(ConfidenceSets):
     """Ellipsoid-induced intervals for separable linear preferences.
@@ -308,8 +264,6 @@ class LinearConfidence(ConfidenceSets):
         n_agents = self.num_agents
         self.V = np.tile(np.eye(self.dim) * lam, (n_agents, 1, 1))
         self.b = np.zeros((n_agents, self.dim))
-        self.pulls = np.zeros(n_agents, dtype=int)
-        self.phi_hat = np.zeros((n_agents, self.dim))
 
     def beta(self, horizon: int) -> float:
         return (
@@ -328,10 +282,9 @@ class LinearConfidence(ConfidenceSets):
         ctx = np.concatenate((pc[pj], cc[ci]))
         self.V[slots] = V = self.V[slots] + ctx[:, :, None] * ctx[:, None, :]
         self.b[slots] = b = self.b[slots] + np.concatenate((r_c, r_p))[:, None] * ctx
-        self.pulls[slots] += 1
         phi = np.linalg.solve(V, b[:, :, None])[:, :, 0]
         norm = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, :])
-        self.phi_hat[slots] = np.divide(phi, norm, out=phi, where=norm > 1.0)
+        np.divide(phi, norm, out=phi, where=norm > 1.0)
         V_inv = np.linalg.inv(V)
         root_beta = np.sqrt(self.beta(horizon))
         for side, rows, partners, lo, hi in (
@@ -342,12 +295,3 @@ class LinearConfidence(ConfidenceSets):
             bonus = root_beta * np.sqrt(np.einsum("nd,kde,ne->kn", partners, V_inv[side], partners))
             lo[rows] = np.maximum(-1.0, center - bonus)
             hi[rows] = np.minimum(1.0, center + bonus)
-
-    def _pair_count(self, i: int, j: int) -> int:
-        return int(min(self.pulls[i], self.pulls[self.num_customers + j]))
-
-    def _pair_mean(self, side: Side, a: int, b: int) -> float:
-        if side is Side.CUSTOMER:
-            return float(self.provider_contexts[b] @ self.phi_hat[a])
-        return float(self.customer_contexts[b] @ self.phi_hat[self.num_customers + a])
-

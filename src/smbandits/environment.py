@@ -25,7 +25,7 @@ from .market import (
     is_stable_ntu,
     is_stable_tu,  # not called here; perfbench/tracer.py patches this name
     lists_all_in_order,
-    stability_inequalities_hold,
+    payoff_inequalities_hold,
 )
 
 _TOTAL_ROUNDS_GUARD = 20_000_000
@@ -418,7 +418,8 @@ def _eps_stable(
 ) -> bool:
     """Whether the published outcome is ``fee``-stable for the truth on the
     arrival submarket ``truth_sub``."""
-    return stability_inequalities_hold(truth_sub, _restrict_outcome(published, cust, prov), fee)
+    payoffs = _restrict_outcome(published, cust, prov).net_payoffs(truth_sub)
+    return payoff_inequalities_hold(*payoffs, truth_sub.joint(), fee)
 
 
 def _draw_arrivals(
@@ -545,16 +546,6 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     if values.size < 2:
         return mean, 0.0
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def aggregate_curves(traces: dict[int, RegretTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard-error curves of cumulative regret across replicas."""
-    stacked = np.stack([traces[s].cum_regret for s in sorted(traces)])
-    mean = stacked.mean(axis=0)
-    if stacked.shape[0] < 2:
-        return mean, np.zeros_like(mean)
-    stderr = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    return mean, stderr
 
 
 def summarize(traces: dict[int, RegretTrace]) -> dict:

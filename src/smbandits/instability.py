@@ -166,23 +166,6 @@ def max_unhappiness_coalition(u: UtilityMatrix, outcome: MarketOutcome) -> tuple
     return report.value, report.witness_subset
 
 
-def coalition_deviation(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[Matching, np.ndarray, np.ndarray]:
-    """An internal re-matching with zero-sum transfers certifying the coalition.
-
-    Each re-matched pair splits its gain evenly, so both members weakly
-    improve; opted-out agents go unmatched at transfer zero.
-    """
-    report = subset_instability(u, outcome)
-    q_c, q_p = outcome.net_payoffs(u)
-    g = _reduced_gains(q_c, q_p, u.joint())[0]
-    tau_c = np.zeros(u.num_customers)
-    tau_p = np.zeros(u.num_providers)
-    for i, j in report.blocking_pairs:
-        tau_c[i] = q_c[i] + g[i, j] / 2.0 - u.customer_values[i, j]
-        tau_p[j] = q_p[j] + g[i, j] / 2.0 - u.provider_values[j, i]
-    return Matching(report.blocking_pairs), tau_c, tau_p
-
-
 def utility_difference(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Total utility of the best matching minus that of the outcome's matching."""
     best = Matching(assignment_pairs(u.joint())).total_utility(u)

@@ -132,9 +132,6 @@ class UtilityMatrix:
             self.provider_values.take(providers, 0).take(customers, 1),
         )
 
-    def scaled(self, factor: float) -> UtilityMatrix:
-        return UtilityMatrix(self.customer_values * factor, self.provider_values * factor)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -181,17 +178,6 @@ class Matching:
 
     def total_utility(self, u: UtilityMatrix) -> float:
         return self.weight(u.joint())
-
-
-@dataclass(frozen=True)
-class DualPrices:
-    """Per-agent nonnegative prices feasible for the assignment dual."""
-
-    customers: np.ndarray
-    providers: np.ndarray
-
-    def total(self) -> float:
-        return float(self.customers.sum() + self.providers.sum())
 
 
 @dataclass(frozen=True)
@@ -342,20 +328,23 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
     return p_c, p_p
 
 
-def max_weight_matching_with_duals(u: UtilityMatrix) -> tuple[Matching, DualPrices]:
-    """Maximum-weight matching and dual prices for the market ``u``.
+def max_weight_matching_with_duals(u: UtilityMatrix) -> tuple[Matching, tuple[np.ndarray, np.ndarray]]:
+    """Maximum-weight matching and dual prices ``(p_c, p_p)`` for the market ``u``.
 
-    The duals are feasible for the assignment dual (prices), complementary
-    slack with the returned matching, and sum to its weight.
+    The prices are nonnegative, feasible for the assignment dual,
+    complementary slack with the returned matching, and sum to its weight.
     """
     pairs, p_c, p_p = assignment_with_duals(u.joint())
-    return Matching._from_disjoint(tuple(pairs)), DualPrices(p_c, p_p)
+    return Matching._from_disjoint(tuple(pairs)), (p_c, p_p)
 
 
-def stable_outcome_from_duals(u: UtilityMatrix, matching: Matching, prices: DualPrices) -> MarketOutcome:
-    """Transfers tau_a = p_a - u_a(mu(a)); stable whenever (matching, prices) is optimal."""
-    tau_c = prices.customers.copy()
-    tau_p = prices.providers.copy()
+def stable_outcome_from_duals(
+    u: UtilityMatrix, matching: Matching, prices: tuple[np.ndarray, np.ndarray]
+) -> MarketOutcome:
+    """Transfers tau_a = p_a - u_a(mu(a)) from prices ``(p_c, p_p)``; stable
+    whenever (matching, prices) is optimal."""
+    tau_c = prices[0].copy()
+    tau_p = prices[1].copy()
     for i, j in matching.pairs:
         tau_c[i] -= u.customer_values[i, j]
         tau_p[j] -= u.provider_values[j, i]
@@ -445,22 +434,16 @@ def heaviest_matchings(joint: np.ndarray, count: int) -> tuple[list[Matching | N
     return [matchings[m] for m in top] + [None] * pad, [weights[m] for m in top] + [-np.inf] * pad, band
 
 
-def stability_inequalities_hold(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> bool:
-    """IR and no-blocking inequalities with slack eps / 2*eps, transfers as-is.
+def payoff_inequalities_hold(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray, eps: float = 0.0) -> bool:
+    """Individual rationality and no blocking pair on net payoffs ``q``
+    and joint weights, with slack eps and 2*eps: every q_a >= -eps - TOL,
+    and every q_i + q_j - joint(i, j) + 2*eps >= -TOL.
 
-    Does not require zero-sum transfers; this is the eps-stability notion of
-    the search-frictions setting, where fees make transfers non-zero-sum.
+    Transfers need not be zero-sum; this is also the eps-stability notion
+    of the search-frictions setting, where fees make them non-zero-sum.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    q_c, q_p = outcome.net_payoffs(u)
-    return payoff_inequalities_hold(q_c, q_p, u.joint(), eps)
-
-
-def payoff_inequalities_hold(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray, eps: float = 0.0) -> bool:
-    """The tests of :func:`stability_inequalities_hold` on net payoffs ``q``
-    and joint weights: every q_a >= -eps - TOL, and every
-    q_i + q_j - joint(i, j) + 2*eps >= -TOL."""
     if q_c.size and q_c.min() < -eps - TOL:
         return False
     if q_p.size and q_p.min() < -eps - TOL:
@@ -480,7 +463,7 @@ def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> 
     zero-sum (InvalidOutcome otherwise).
     """
     outcome.check_zero_sum()
-    return stability_inequalities_hold(u, outcome, eps)
+    return payoff_inequalities_hold(*outcome.net_payoffs(u), u.joint(), eps)
 
 
 def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

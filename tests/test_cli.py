@@ -173,6 +173,14 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=10))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--threads", str(threads), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --threads: must be at least 1, got {threads}\n"
+        assert not out.exists()
+
     def test_writes_csv_and_summary(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", base_config(horizon=30))
         out = tmp_path / "out"
@@ -427,6 +435,11 @@ class TestVerifyCommand:
         assert main(["verify", "--cases", "30", "--seed", "1"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_negative_cases_rejected(self, capsys):
+        assert main(["verify", "--cases", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --cases: must be at least 0, got -5\n")
+
 
 def run_module(argv: list[str]) -> subprocess.CompletedProcess:
     """``python -m smbandits.cli`` in a child that imports the package this
@@ -443,11 +456,6 @@ def run_module(argv: list[str]) -> subprocess.CompletedProcess:
 class TestEntryPoint:
     def test_module_invocation(self):
         assert run_module(["verify", "--cases", "5"]).returncode == 0
-
-    def test_smb_threads_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SMB_THREADS", "2")
-        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=10))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestParserReuse:

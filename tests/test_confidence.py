@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ class TestInit:
     def test_linear_starts_with_no_observations(self):
         ctx = np.eye(2)
         conf = LinearConfidence(ctx, ctx)
-        assert (conf.pulls == 0).all()
+        assert (conf.V == np.eye(2)).all() and (conf.b == 0.0).all()
         assert conf.hi_c[0, 1] - conf.lo_c[0, 1] == 2.0
 
     def test_context_outside_ball_rejected(self):
@@ -90,22 +89,6 @@ class TestUnstructuredUpdate:
             conf.update(m, obs_for(m, 5.0), horizon=10)
         lo, hi = conf.lo_c[0, 0], conf.hi_c[0, 0]
         assert lo == hi == 1.0
-
-    def test_nominal_width_monotone(self):
-        rng = np.random.default_rng(3)
-        conf = UnstructuredConfidence(2, 2, ConfidenceConfig(ucb_scale=1.0))
-        m = Matching([(0, 0), (1, 1)])
-        last = {pair: 2.0 for pair in m.pairs}
-        for _ in range(200):
-            r_c, r_p = [], []
-            for _ in m.pairs:
-                r_c.append(rng.normal())
-                r_p.append(rng.normal())
-            conf.update(m, (np.array(r_c), np.array(r_p)), horizon=200)
-            for pair in m.pairs:
-                now = conf.nominal_width(*pair, horizon=200)
-                assert now <= last[pair] + 1e-12
-                last[pair] = now
 
     def test_reward_for_unmatched_agent_rejected(self):
         conf = UnstructuredConfidence(2, 2)
@@ -179,8 +162,7 @@ class TestLinearUpdate:
             j = t % 2
             m = Matching([(0, j)])
             conf.update(m, (np.array([phi[j]]), np.array([0.0])), horizon=horizon)
-        slot = 0
-        assert np.allclose(conf.phi_hat[slot], phi, atol=0.01)
+        assert np.allclose(np.linalg.solve(conf.V[0], conf.b[0]), phi, atol=0.01)
         widths = [conf.hi_c[0, j] - conf.lo_c[0, j] for j in range(2)]
         fresh = LinearConfidence(ctx_c, ctx_p, ConfidenceConfig())
         assert all(w < fresh.hi_c[0, j] - fresh.lo_c[0, j] for j, w in enumerate(widths))
@@ -224,14 +206,3 @@ class TestProjections:
         assert conf.contains(truth)
         other = UtilityMatrix(np.full((2, 2), 0.6), np.full((2, 2), -0.5))
         assert not conf.contains(other)
-
-    def test_snapshot_round_trips_json(self):
-        conf = UnstructuredConfidence(2, 1)
-        m = Matching([(1, 0)])
-        conf.update(m, obs_for(m, 0.25), horizon=50)
-        snap = json.loads(json.dumps(conf.snapshot()))
-        assert snap["mode"] == "unstructured"
-        entries = {(e["side"], e["agent"], e["partner"]): e for e in snap["pairs"]}
-        e = entries[("customer", 1, 0)]
-        assert e["n"] == 1 and e["mean"] == 0.25
-        assert e["lo"] <= e["hi"]

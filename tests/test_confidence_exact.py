@@ -66,7 +66,6 @@ def reference_linear(conf, pairs, r_c, r_p, horizon):
         for slot, ctx, r in ((i, conf.provider_contexts[j], r_c[k]), (n_c + j, conf.customer_contexts[i], r_p[k])):
             conf.V[slot] += np.outer(ctx, ctx)
             conf.b[slot] += float(r) * ctx
-            conf.pulls[slot] += 1
             updated.append(slot)
     projected = 0
     for slot in updated:
@@ -75,12 +74,11 @@ def reference_linear(conf, pairs, r_c, r_p, horizon):
         if norm > 1.0:
             phi = phi / norm
             projected += 1
-        conf.phi_hat[slot] = phi
         customer_side = slot < n_c
         partners = conf.provider_contexts if customer_side else conf.customer_contexts
         if partners.shape[0] == 0:
             continue
-        center = partners @ conf.phi_hat[slot]
+        center = partners @ phi
         vinv = np.linalg.inv(conf.V[slot])
         bonus = np.sqrt(conf.beta(horizon)) * np.sqrt(np.einsum("nd,de,ne->n", partners, vinv, partners))
         lo, hi = (conf.lo_c, conf.hi_c) if customer_side else (conf.lo_p, conf.hi_p)
@@ -165,7 +163,7 @@ def play_linear(rng, n_c, n_p, dim):
     projected, sizes = play(
         lambda: LinearConfidence(cc, pc, config),
         reference_linear,
-        ("V", "b", "phi_hat", "pulls"),
+        ("V", "b"),
         rng, n_c, n_p,
     )
     # Rewards far outside [-1, 1] drive some estimates out of the unit ball.

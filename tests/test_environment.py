@@ -271,14 +271,6 @@ class TestSweep:
         assert summary["final_cum_regret_mean"] > 0
         assert "log_slope_last_half" in summary
 
-    def test_aggregate_curves_shapes(self):
-        from smbandits.environment import aggregate_curves
-
-        results = sweep(self._cells(horizon=50))
-        mean, stderr = aggregate_curves(results["a"])
-        assert mean.shape == stderr.shape == (50,)
-        assert (np.diff(mean) >= -1e-12).all()  # cumulative regret is non-decreasing
-
     def test_regret_grows_with_market_size(self):
         # Coarse shape check behind the size-scaling claim: larger
         # unstructured markets accumulate more instability at a fixed horizon.

@@ -15,10 +15,18 @@ from smbandits.market import (
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
+    payoff_inequalities_hold,
     second_best_matching,
-    stability_inequalities_hold,
     stable_outcome_from_duals,
 )
+
+
+def scaled(u: UtilityMatrix, factor: float) -> UtilityMatrix:
+    return UtilityMatrix(u.customer_values * factor, u.provider_values * factor)
+
+
+def dual_total(duals) -> float:
+    return float(duals[0].sum() + duals[1].sum())
 
 
 class TestRestrict:
@@ -47,23 +55,23 @@ class TestMatchingType:
 
 class TestMaxWeightMatching:
     def test_fig1_scaled(self, fig1_market):
-        u = fig1_market.scaled(1.0 / 12.0)
+        u = scaled(fig1_market, 1.0 / 12.0)
         match, duals = max_weight_matching_with_duals(u)
         assert match.pairs == ((0, 0),)
         assert match.total_utility(u) == pytest.approx(4.0 / 12.0, abs=1e-12)
-        assert duals.total() == pytest.approx(4.0 / 12.0, abs=1e-12)
+        assert dual_total(duals) == pytest.approx(4.0 / 12.0, abs=1e-12)
 
     def test_negative_pair_stays_unmatched(self):
         u = UtilityMatrix(np.array([[0.3]]), np.array([[-0.5]]))
         match, duals = max_weight_matching_with_duals(u)
         assert match.pairs == ()
-        assert duals.total() == 0.0
+        assert dual_total(duals) == 0.0
 
     def test_empty_market(self):
         u = UtilityMatrix(np.zeros((0, 3)), np.zeros((3, 0)))
         match, duals = max_weight_matching_with_duals(u)
         assert match.pairs == ()
-        assert duals.providers.shape == (3,)
+        assert duals[1].shape == (3,)
 
     def test_random_4x4_matches_enumeration(self):
         rng = np.random.default_rng(7)
@@ -72,7 +80,7 @@ class TestMaxWeightMatching:
             match, duals = max_weight_matching_with_duals(u)
             best = brute_force_max_weight(u.joint())
             assert match.total_utility(u) == pytest.approx(best, abs=1e-9)
-            assert duals.total() == pytest.approx(best, abs=1e-9)
+            assert dual_total(duals) == pytest.approx(best, abs=1e-9)
 
     def test_dual_feasibility_and_slackness(self):
         rng = np.random.default_rng(8)
@@ -81,9 +89,10 @@ class TestMaxWeightMatching:
             u = random_market(rng, int(n_c), int(n_p))
             match, duals = max_weight_matching_with_duals(u)
             joint = u.joint()
-            slack = duals.customers[:, None] + duals.providers[None, :] - joint
+            p_c, p_p = duals
+            slack = p_c[:, None] + p_p[None, :] - joint
             assert slack.min() > -1e-9
-            assert duals.customers.min() >= 0.0 and duals.providers.min() >= 0.0
+            assert p_c.min() >= 0.0 and p_p.min() >= 0.0
             for i, j in match.pairs:
                 assert slack[i, j] == pytest.approx(0.0, abs=1e-9)
 
@@ -111,7 +120,7 @@ class TestDualCertificate:
 
 class TestSecondBest:
     def test_fig1_gap(self, fig1_market):
-        u = fig1_market.scaled(1.0 / 12.0)
+        u = scaled(fig1_market, 1.0 / 12.0)
         best, _ = max_weight_matching_with_duals(u)
         second, weight = second_best_matching(u, best)
         assert second.pairs == ((0, 1),)
@@ -197,7 +206,14 @@ class TestStabilityTU:
 
     def test_inequalities_ignore_zero_sum(self, fig1_market):
         outcome = MarketOutcome(Matching([(0, 0)]), np.array([-5.0]), np.array([6.0, 0.0]))
-        assert stability_inequalities_hold(fig1_market, outcome, 0.0)
+        assert payoff_inequalities_hold(*outcome.net_payoffs(fig1_market), fig1_market.joint(), 0.0)
+
+    def test_negative_eps_rejected(self, fig1_market):
+        outcome = MarketOutcome(Matching([(0, 0)]), np.array([-6.0]), np.array([6.0, 0.0]))
+        with pytest.raises(ValueError, match="eps"):
+            is_stable_tu(fig1_market, outcome, -0.1)
+        with pytest.raises(ValueError, match="eps"):
+            payoff_inequalities_hold(*outcome.net_payoffs(fig1_market), fig1_market.joint(), -0.1)
 
     def test_stable_implies_max_weight(self):
         rng = np.random.default_rng(11)
