@@ -17,6 +17,7 @@ import numpy as np
 from . import policies as pol
 from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
 from .errors import ConfigError, TooLarge
+# subset_instability_value is not called here; perfbench/tracer.py patches this name.
 from .instability import ntu_subset_instability, subset_instability_and_stability, subset_instability_value
 from .market import (
     Matching,
@@ -308,19 +309,16 @@ def run(
 ) -> RegretTrace:
     """Execute one replica: deterministic in (instance.seed, spec, horizon).
 
-    The policy decides how a round is judged. The NTU policy is scored by the
-    NTU metric and judged by NTU stability; a round too large for the exact
-    NTU solver records the certified width bound instead (``bound_only``).
-    The revenue policy is judged by eps-stability of its published outcome at
-    its own fee eps, every other policy by exact stability of its zero-sum
-    outcome; that choice affects only the ``stable_truth`` column.
-    ``record_outcomes`` keeps each round's scored outcome on the trace for
-    post-hoc inspection.
+    Every TU round is scored, and judged for exact stability, from one gain
+    matrix of its zero-sum outcome. The NTU policy is scored by the NTU
+    metric and judged by NTU stability; a round too large for the exact NTU
+    solver records the certified width bound instead (``bound_only``). The
+    revenue policy's ``stable_truth`` is then replaced by the eps-stability
+    of its published outcome at its own fee eps, checked every round.
+    ``record_outcomes`` keeps each round's scored outcome on the trace.
 
     A round whose decision scores the very outcome object of the round
-    before, on bytewise the same arrivals, reuses that round's score; a
-    reused ``bound_only`` round records its own certified bound, and a
-    reused revenue round judges its own published outcome.
+    before, on bytewise the same arrivals, reuses that round's judgement.
     """
     policy = spec.build(instance, horizon)
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
@@ -329,97 +327,67 @@ def run(
     n_c, n_p = instance.num_customers, instance.num_providers
     ntu = isinstance(policy, pol.MatchNtuUcbPolicy)
     fee = policy.epsilon if isinstance(policy, pol.RevenueFrictionsPolicy) else 0.0
-
-    cols = {
-        name: np.zeros(horizon)
-        for name in ("instability", "width_sum", "certified_bound", "revenue")
-    }
-    containment = np.zeros(horizon, dtype=bool)
-    stable_truth = np.zeros(horizon, dtype=bool)
-    bound_only = np.zeros(horizon, dtype=bool)
-    outcomes: list[MarketOutcome] | None = [] if record_outcomes else None
+    trace = RegretTrace(
+        instance.seed,
+        spec.kind,
+        horizon,
+        *(np.zeros(horizon) for _ in range(4)),
+        *(np.zeros(horizon, dtype=bool) for _ in range(3)),
+        outcomes=[] if record_outcomes else None,
+    )
     infos: list[dict] = []
     last: tuple | None = None  # scored outcome, arrival bytes and _judge result of the last judged round
-    reused_rounds = 0
+
+    def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+        return _observe(truth, matching, instance.noise, noise_rng)
 
     for t in range(horizon):
         cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
-        contained = policy.conf.contains(truth)
-
-        def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-            return _observe(truth, matching, instance.noise, noise_rng)
-
+        trace.containment[t] = policy.conf.contains(truth)
         decision = policy.step((cust, prov), feedback)
         arrived = (cust.tobytes(), prov.tobytes())
         if last is not None and last[0] is decision.scored_outcome and last[1] == arrived:
-            reused_rounds += 1
-            inst, stable_truth[t], bound_only[t] = last[2]
-            if fee > 0:
-                # The published transfers refund this round's widths.
-                stable_truth[t] = _eps_stable(truth.restrict(cust, prov), decision.outcome, cust, prov, fee)
+            trace.reused_rounds += 1
         else:
-            judged = _judge(truth, decision, cust, prov, ntu, fee)
-            inst, stable_truth[t], bound_only[t] = judged
-            last = (decision.scored_outcome, arrived, judged)
-        if bound_only[t]:
-            inst = decision.certified_instability_bound
-
-        cols["instability"][t] = inst
-        cols["width_sum"][t] = decision.width_sum
-        cols["certified_bound"][t] = decision.certified_instability_bound
-        cols["revenue"][t] = decision.revenue
-        containment[t] = contained
-        if outcomes is not None:
-            outcomes.append(decision.scored_outcome)
+            last = (decision.scored_outcome, arrived, _judge(truth, decision.scored_outcome, cust, prov, ntu))
+        inst, stable, bound = last[2]
+        if fee > 0:
+            # The published transfers charge the fee and refund this round's widths.
+            truth_sub = truth.restrict(cust, prov)
+            payoffs = _restrict_outcome(decision.outcome, cust, prov).net_payoffs(truth_sub)
+            stable = payoff_inequalities_hold(*payoffs, truth_sub.joint(), fee)
+        trace.instability[t] = decision.certified_instability_bound if bound else inst
+        trace.width_sum[t] = decision.width_sum
+        trace.certified_bound[t] = decision.certified_instability_bound
+        trace.revenue[t] = decision.revenue
+        trace.stable_truth[t] = stable
+        trace.bound_only[t] = bound
+        if record_outcomes:
+            trace.outcomes.append(decision.scored_outcome)
         if decision.info is not None:
             infos.append(decision.info)
 
-    return RegretTrace(
-        seed=instance.seed,
-        policy_kind=spec.kind,
-        horizon=horizon,
-        instability=cols["instability"],
-        width_sum=cols["width_sum"],
-        certified_bound=cols["certified_bound"],
-        revenue=cols["revenue"],
-        containment=containment,
-        stable_truth=stable_truth,
-        bound_only=bound_only,
-        outcomes=outcomes,
-        reused_rounds=reused_rounds,
-        info={key: np.array([info[key] for info in infos]) for key in infos[0]} if infos else None,
-    )
+    trace.info = {key: np.array([info[key] for info in infos]) for key in infos[0]} if infos else None
+    return trace
 
 
 def _judge(
-    truth: UtilityMatrix, decision: pol.RoundDecision, cust: np.ndarray, prov: np.ndarray, ntu: bool, fee: float
+    truth: UtilityMatrix, scored_outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray, ntu: bool
 ) -> tuple[float, bool, bool]:
-    """``(instability, stable_truth, bound_only)`` of one round's decision on
-    its arrivals; the instability of a ``bound_only`` round is nan, for the
-    caller to fill with the round's certified bound."""
+    """``(instability, stable_truth, bound_only)`` of one round's scored
+    outcome on its arrivals; the instability of a ``bound_only`` round is
+    nan, for the caller to fill with the round's certified bound."""
     truth_sub = truth.restrict(cust, prov)
-    sub_outcome = _restrict_outcome(decision.scored_outcome, cust, prov)
+    sub_outcome = _restrict_outcome(scored_outcome, cust, prov)
     if ntu:
         try:
             inst, bound = ntu_subset_instability(truth_sub, sub_outcome.matching).value, False
         except TooLarge:
             inst, bound = math.nan, True
         return inst, is_stable_ntu(truth_sub, sub_outcome.matching), bound
-    if fee > 0:
-        inst = subset_instability_value(truth_sub, sub_outcome)
-        return inst, _eps_stable(truth_sub, decision.outcome, cust, prov, fee), False
     # One gain matrix gives the value and the is_stable_tu flag.
     inst, stable = subset_instability_and_stability(truth_sub, sub_outcome)
     return inst, stable, False
-
-
-def _eps_stable(
-    truth_sub: UtilityMatrix, published: MarketOutcome, cust: np.ndarray, prov: np.ndarray, fee: float
-) -> bool:
-    """Whether the published outcome is ``fee``-stable for the truth on the
-    arrival submarket ``truth_sub``."""
-    payoffs = _restrict_outcome(published, cust, prov).net_payoffs(truth_sub)
-    return payoff_inequalities_hold(*payoffs, truth_sub.joint(), fee)
 
 
 def _draw_arrivals(

@@ -57,12 +57,19 @@ def _outcome_from_duals(
     return MarketOutcome(Matching._from_disjoint(tuple(lifted)), tau_c, tau_p)
 
 
+def _optimistic_outcome(
+    conf: ConfidenceSets, arrivals: Arrivals, ucb: UtilityMatrix, joint: np.ndarray
+) -> MarketOutcome:
+    """The outcome stable for ``ucb``, the upper bounds restricted to the
+    arrivals, whose joint weights are ``joint``."""
+    pairs, p_c, p_p = assignment_with_duals(joint)
+    return _outcome_from_duals(ucb, pairs, p_c, p_p, *arrivals, conf.num_customers, conf.num_providers)
+
+
 def compute_match(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
     """Stable-for-the-upper-bounds outcome on this round's arrivals."""
-    cust, prov = arrivals
-    sub = conf.ucb_matrix().restrict(cust, prov)
-    pairs, p_c, p_p = assignment_with_duals(sub.joint())
-    return _outcome_from_duals(sub, pairs, p_c, p_p, cust, prov, conf.num_customers, conf.num_providers)
+    sub = conf.ucb_matrix().restrict(*arrivals)
+    return _optimistic_outcome(conf, arrivals, sub, sub.joint())
 
 
 def expanded_upper_bounds(conf: ConfidenceSets) -> UtilityMatrix:
@@ -109,24 +116,22 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     """Gap-aware variant selecting robust dual prices.
 
     On the original upper bounds it computes the best matching and the gap to
-    the second-best matching; a zero gap falls back to compute_match. When the
-    best matching of the doubled-width sets differs, the doubled-set outcome
-    is played, with that matching's duals. Otherwise the duals come from a
-    perturbed utility that shaves gap/|A| off every matched edge endpoint;
-    adding gap/|A| back to them yields an optimal-but-robust primal-dual pair.
-    Only the played branch builds duals: one dual pass per call.
+    the second-best matching; a zero gap falls back to compute_match's
+    outcome, built from the same bounds. When the best matching of the
+    doubled-width sets differs, the doubled-set outcome is played, with that
+    matching's duals. Otherwise the duals come from a perturbed utility that
+    shaves gap/|A| off every matched edge endpoint; adding gap/|A| back to
+    them yields an optimal-but-robust primal-dual pair. Only the played
+    branch builds duals: one dual pass per call.
     """
     cust, prov = arrivals
     n_c, n_p = conf.num_customers, conf.num_providers
     n_arrived = len(cust) + len(prov)
     ucb = conf.ucb_matrix().restrict(cust, prov)
-
-    gap = 0.0
-    if len(cust) and len(prov):
-        joint = ucb.joint()
-        x_star, gap = _best_and_gap(ucb, joint)
+    joint = ucb.joint()
+    x_star, gap = _best_and_gap(ucb, joint) if len(cust) and len(prov) else (None, 0.0)
     if gap <= TOL:
-        return compute_match(conf, arrivals), {"branch": "fallback", "gap": 0.0}
+        return _optimistic_outcome(conf, arrivals, ucb, joint), {"branch": "fallback", "gap": 0.0}
 
     ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
     joint2 = ucb2.joint()
@@ -231,14 +236,12 @@ class Policy:
             raise ValueError(f"{self.kind} is incompatible with {conf.mode} confidence sets")
         self.conf = conf
         self.horizon = horizon
-        self.round_index = 0
         self._memo_key: tuple | None = None
         self._memo_value = None
 
     def step(self, arrivals: Arrivals, feedback) -> RoundDecision:
         """Play one round. ``feedback(matching)`` returns the observed rewards
         ``(r_c, r_p)``: two float arrays aligned with ``matching.pairs``."""
-        self.round_index += 1
         decision = self._select(arrivals)
         observations = feedback(decision.outcome.matching)
         self._learn(decision.outcome.matching, observations)

@@ -1,12 +1,15 @@
 """Every top-level function and class of ``src/smbandits``, and every method
 other than a dunder, is referenced in ``src/`` or ``perfbench/`` outside its
-own definition.
+own definition; every attribute the package stores on ``self`` is read there.
 
 A reference is an ``ast`` ``Name``, an ``Attribute``, an import alias (so an
 export from ``__init__`` counts) or a string constant that is an identifier
 (``perfbench/tracer.py`` names the sites it patches as strings). Comments and
 docstrings are not references. Names match by spelling only, so one call of
 ``x.update(...)`` keeps every method named ``update`` alive.
+
+A read of an attribute is an ``ast.Attribute`` that is not a store target
+(``self.a[i] = x`` reads ``a``) or an identifier string constant.
 """
 
 import ast
@@ -57,10 +60,14 @@ def referenced_name(node: ast.AST) -> str | None:
     return None
 
 
+def parsed() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for top in SEARCHED for path in sorted(top.rglob("*.py"))}
+
+
 def unreferenced_names() -> set[str]:
     """Names defined in the package with no reference outside their own
     definitions."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for top in SEARCHED for path in sorted(top.rglob("*.py"))}
+    trees = parsed()
     defined: dict[str, list[ast.AST]] = {}
     for path, tree in trees.items():
         if PACKAGE in path.parents:
@@ -80,6 +87,30 @@ def unreferenced_names() -> set[str]:
     return set(defined) - used
 
 
+def self_stores(tree: ast.Module) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+
+
+def unread_attributes(trees: dict[Path, ast.Module]) -> set[str]:
+    """Attributes the package stores on ``self`` that nothing reads."""
+    stored = set().union(*(self_stores(tree) for path, tree in trees.items() if PACKAGE in path.parents))
+    read = {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier())
+    }
+    return stored - read
+
+
 def test_every_definition_is_referenced():
     assert unreferenced_names() - TEST_ONLY == set()
 
@@ -87,3 +118,7 @@ def test_every_definition_is_referenced():
 def test_test_only_names_are_still_unreferenced():
     # A name that gained a caller in src/ or perfbench/ leaves the list.
     assert TEST_ONLY <= unreferenced_names()
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes(parsed()) == set()

@@ -266,3 +266,21 @@ def test_one_dual_pass_per_call(monkeypatch):
         assert len(passes) == 1, info
         branches.add(info["branch"])
     assert branches == {"fallback", "robust", "expanded"}
+
+
+def test_fallback_reads_upper_bounds_once(monkeypatch):
+    # Fresh sets tie every matching, so the call falls back; it plays the
+    # optimistic outcome from the bounds it read for the gap.
+    calls = []
+    ucb_matrix = UnstructuredConfidence.ucb_matrix
+
+    def counted(self):
+        calls.append(1)
+        return ucb_matrix(self)
+
+    monkeypatch.setattr(UnstructuredConfidence, "ucb_matrix", counted)
+    conf = UnstructuredConfidence(3, 3)
+    outcome, info = compute_match_prime(conf, all_arrivals(3, 3))
+    assert info == {"branch": "fallback", "gap": 0.0}
+    assert len(calls) == 1
+    assert len(outcome.matching.pairs) == 3

@@ -296,3 +296,55 @@ def test_unsorted_fixed_schedule(kind):
     for outcome in trace.outcomes:
         assert_sorted_disjoint(outcome.matching)
     assert trace_digest(trace) == UNSORTED_SCHEDULE_DIGESTS[kind]
+
+
+# Cells whose rounds take every judging path of ``run``: the revenue policy's
+# published-outcome check on replayed and fresh rounds, NTU scoring with and
+# without the exact solver (nine customers exceed it, so every 9x9 round is
+# bound_only; its two seeds tie every upper bound at 1 and play alike),
+# match_ucb_prime at the default constant (almost every round falls back),
+# the exploration and committed phases of etc, and typed sets on partial
+# arrivals.
+IID_HALF = env.ArrivalSpec(kind="iid_subset", probability=0.5)
+PINNED_CELLS = {
+    "revenue_3x3": ("unstructured", 3, env.PolicySpec("revenue_frictions"), env.ArrivalSpec(), 300),
+    "revenue_iid_4x4": (
+        "unstructured", 4, env.PolicySpec("revenue_frictions", ConfidenceConfig(ucb_scale=1.0)), IID_HALF, 300
+    ),
+    "ntu_iid_4x4": ("unstructured", 4, env.PolicySpec("match_ntu_ucb"), IID_HALF, 300),
+    "ntu_9x9": ("unstructured", 9, env.PolicySpec("match_ntu_ucb"), env.ArrivalSpec(), 60),
+    "prime_3x3": ("unstructured", 3, env.PolicySpec("match_ucb_prime"), env.ArrivalSpec(), 300),
+    "prime_iid_4x4": ("unstructured", 4, env.PolicySpec("match_ucb_prime"), IID_HALF, 300),
+    "etc_3x3": ("unstructured", 3, env.PolicySpec("etc", etc_pulls_per_pair=3), env.ArrivalSpec(), 200),
+    "typed_iid_6x6": ("typed", 6, env.PolicySpec("match_typed_ucb"), IID_HALF, 200),
+}
+
+# trace_digest of each cell and seed, recorded before run took one judging
+# path per round: an edit that moves the fresh and the replayed judgement
+# alike passes test_round_reuse, and fails here.
+PINNED_DIGESTS = {
+    ("revenue_3x3", 0): "695dd2120d3336c5213a23dcf4b5e57cfb7341b704dbfebf43cde028544af650",
+    ("revenue_3x3", 1): "2cd2b461cd546fc5196cea2403d8bebb1634235c1a1a6061a751604dc973e39a",
+    ("revenue_iid_4x4", 0): "b9d8a650d5e00a2c5c5956350d8d1560a66560f85cd50722e9e4a28cd6dfae68",
+    ("revenue_iid_4x4", 1): "98d543191f1edfd919dab6569ce370e5a861beb2365d0d756b4277d7c7fc318c",
+    ("ntu_iid_4x4", 0): "bd9fb02dd19c9d059e3b23b95377300082b76d45bd9c95948deee6db6fa6703c",
+    ("ntu_iid_4x4", 1): "dba01409241315f4a67abef4272608d7584074feb69d0a21dc8137ada7fcc13c",
+    ("ntu_9x9", 0): "918db044c9d1d5d1018042c3e3a71208d74fafd929d1484c056e1393c0876592",
+    ("ntu_9x9", 1): "918db044c9d1d5d1018042c3e3a71208d74fafd929d1484c056e1393c0876592",
+    ("prime_3x3", 0): "b9c284cd1d5965a2a48d78ef9b2ddf3ec1c2f5c52edc1860b052b6572df54fe3",
+    ("prime_3x3", 1): "f37ac27c02625453588a3e519ee4d563274638ea531e291147390bf83fd9f52e",
+    ("prime_iid_4x4", 0): "ea7490c9ef34d817be7e34d77a6954f0ed6685842c74a74a0b173d62e5869acd",
+    ("prime_iid_4x4", 1): "5d7b633f71131264a6627918598ed06d6b3298fe25ea412cc5450088b65fee2e",
+    ("etc_3x3", 0): "0650f3e501fd030b434819623befc054e6490a6778b6db83efed1e7796a0a913",
+    ("etc_3x3", 1): "56acae213a1ca788eabc451d94fb61b28df322e117d6625cbb384d80a53c04bf",
+    ("typed_iid_6x6", 0): "2c24c18e874bb7d269bec3e5cbd894dfc4442926b972295acc538685c979e86a",
+    ("typed_iid_6x6", 1): "536d5b33d6ac420b5c4e40943af02367f114d068a1da4b5c2623efd9389d0e4e",
+}
+
+
+@pytest.mark.parametrize("cell, seed", sorted(PINNED_DIGESTS))
+def test_pinned_trace_digest(cell, seed):
+    klass, n, spec, arrival, horizon = PINNED_CELLS[cell]
+    instance = env.gen_instance(klass, n, n, seed, arrival=arrival)
+    trace = env.run(instance, spec, horizon, record_outcomes=True)
+    assert trace_digest(trace) == PINNED_DIGESTS[cell, seed]

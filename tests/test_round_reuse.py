@@ -8,6 +8,7 @@ each round.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -175,8 +176,10 @@ def test_reused_revenue_round_judges_its_published_outcome(monkeypatch):
     charged.customer_transfers[ci] -= 10.0
     charged.provider_transfers[pj] -= 10.0
 
+    rounds = itertools.count(1)
+
     def select(self, arrivals):
-        published = charged if self.round_index % 2 == 0 else base
+        published = charged if next(rounds) % 2 == 0 else base
         return pol.RoundDecision(published, 0.0, 0.0, 0.0, scored_outcome=base)
 
     monkeypatch.setattr(pol.RevenueFrictionsPolicy, "_select", select)
