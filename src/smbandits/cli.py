@@ -91,20 +91,19 @@ def _require_object(obj, path: str) -> None:
         raise ConfigError(f"{path}: expected a JSON object")
 
 
-def _finite_array(raw, where: str, ndim: int) -> np.ndarray:
+def _finite_array(raw, where: str, ndim: int, may_hold_bool: bool = True) -> np.ndarray:
     """``raw`` as a float array of ``ndim`` dimensions with finite entries.
 
-    Strings, nulls, objects and ragged nesting raise ConfigError at
-    ``where``, and so do NaN and Infinity, which Python's ``json`` accepts,
-    and booleans in a 1-D array."""
+    Strings, nulls, objects, ragged nesting, NaN and Infinity raise
+    ConfigError at ``where``, and so do booleans unless ``may_hold_bool``
+    is false, which skips the walk that finds them."""
     try:
         arr = np.asarray(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    # ``np.asarray`` reads true and false among numbers as 1 and 0. One type
-    # pass catches them in the transfers; over the value matrices it would
-    # cost about as much as the conversion itself, so they skip it.
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or (ndim == 1 and bool in set(map(type, raw))):
+    # ``np.asarray`` reads true and false among numbers as 1 and 0.
+    ok = arr.ndim == ndim and arr.dtype.kind in "iuf"
+    if not ok or (may_hold_bool and bool in set(map(type, raw if ndim == 1 else [x for row in raw for x in row]))):
         raise ConfigError(f"{where}: expected a {ndim}-D array of numbers")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
@@ -112,18 +111,30 @@ def _finite_array(raw, where: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _utility_from_snapshot(obj, path: str) -> UtilityMatrix:
+def _spells_bool(text: str) -> bool:
+    """Whether ``text`` holds ``true`` or ``false``, as every JSON boolean does. A one-character
+    search finds each candidate; ``"true" in text`` is about 25 times slower on a 40×40 instance."""
+    for word in ("true", "false"):
+        i = -1
+        while (i := text.find(word[0], i + 1)) >= 0:
+            if text.startswith(word, i):
+                return True
+    return False
+
+
+def _utility_from_snapshot(obj, text: str, path: str) -> UtilityMatrix:
     _require_object(obj, path)
     for key in ("customer_values", "provider_values"):
         if key not in obj:
             raise ConfigError(f"{path}: missing {key}")
-    cv = _finite_array(obj["customer_values"], f"{path}: customer_values", 2)
-    pv = _finite_array(obj["provider_values"], f"{path}: provider_values", 2)
+    may_hold_bool = _spells_bool(text)
+    cv = _finite_array(obj["customer_values"], f"{path}: customer_values", 2, may_hold_bool)
+    pv = _finite_array(obj["provider_values"], f"{path}: provider_values", 2, may_hold_bool)
     if pv.shape != cv.shape[::-1]:
         raise ConfigError(
             f"{path}: provider_values: shape {pv.shape} must be {cv.shape[::-1]}, the transpose of customer_values"
         )
-    return UtilityMatrix(cv, pv)
+    return UtilityMatrix._trusted(cv, pv)
 
 
 def _matching_from_json(raw, path: str, n_c: int, n_p: int) -> Matching:
@@ -160,10 +171,26 @@ def _outcome_from_json(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcom
     return MarketOutcome(matching, *transfers), ntu
 
 
+def _indented(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``. A list whose first item is not a
+    list must hold scalars only; it goes through the C encoder, which ``indent`` bypasses."""
+    if not (isinstance(value, (dict, list)) and value):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        body = (",\n" + inner).join(f"{json.dumps(key)}: {_indented(value[key], inner)}" for key in sorted(value))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value[0], list):
+        body = (",\n" + inner).join(_indented(item, inner) for item in value)
+    else:
+        body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def cmd_score(args: argparse.Namespace) -> int:
-    instance = read_json(args.instance)
-    outcome_obj = read_json(args.outcome)
-    truth = _utility_from_snapshot(instance, args.instance)
+    instance, text = read_json(args.instance)
+    outcome_obj, _ = read_json(args.outcome)
+    truth = _utility_from_snapshot(instance, text, args.instance)
     outcome, ntu = _outcome_from_json(outcome_obj, args.outcome, truth.num_customers, truth.num_providers)
     if ntu:
         report = ntu_subset_instability(truth, outcome.matching)
@@ -191,7 +218,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             "witness_subset": witness,
             "blocking_pairs": sorted(list(p) for p in report.blocking_pairs),
         }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_indented(payload, ""))
     return 0
 
 

@@ -225,11 +225,12 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
     )
 
 
-def read_json(path: str):
-    """The parsed JSON file; unreadable or malformed files raise ConfigError."""
+def read_json(path: str) -> tuple[object, str]:
+    """The parsed JSON file and its text; an unreadable or malformed file raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return json.loads(text), text
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -237,4 +238,4 @@ def read_json(path: str):
 
 
 def load_config(path: str) -> SweepCell:
-    return parse_config(read_json(path))
+    return parse_config(read_json(path)[0])

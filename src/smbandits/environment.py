@@ -381,10 +381,10 @@ def _judge(
     sub_outcome = _restrict_outcome(scored_outcome, cust, prov)
     if ntu:
         try:
-            inst, bound = ntu_subset_instability(truth_sub, sub_outcome.matching).value, False
+            report = ntu_subset_instability(truth_sub, sub_outcome.matching)
         except TooLarge:
-            inst, bound = math.nan, True
-        return inst, is_stable_ntu(truth_sub, sub_outcome.matching), bound
+            return math.nan, is_stable_ntu(truth_sub, sub_outcome.matching), True
+        return report.value, report.stable, False
     # One gain matrix gives the value and the is_stable_tu flag.
     inst, stable = subset_instability_and_stability(truth_sub, sub_outcome)
     return inst, stable, False

@@ -28,6 +28,7 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
     customer,
@@ -61,6 +62,7 @@ class NtuInstabilityReport:
     value: float
     subsidies_customers: np.ndarray
     subsidies_providers: np.ndarray
+    stable: bool  # is_stable_ntu of the matching, from the same gains
 
 
 def _zero_sum_payoffs(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +170,9 @@ def max_unhappiness_coalition(u: UtilityMatrix, outcome: MarketOutcome) -> tuple
 
 def utility_difference(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Total utility of the best matching minus that of the outcome's matching."""
-    best = Matching(assignment_pairs(u.joint())).total_utility(u)
-    return best - outcome.matching.total_utility(u)
+    joint = u.joint()
+    best = Matching._from_disjoint(tuple(assignment_pairs(joint)))
+    return best.weight(joint) - outcome.matching.weight(joint)
 
 
 def subset_instability_bruteforce(u: UtilityMatrix, outcome: MarketOutcome) -> float:
@@ -244,10 +247,11 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
     if n_c > _NTU_EXACT_MAX_CUSTOMERS:
         raise TooLarge(f"exact NTU solver is limited to {_NTU_EXACT_MAX_CUSTOMERS} customers")
     mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
+    stable = _ntu_stable(mu_c, mu_p, gain_c, gain_p)
     ir_c, ir_p = np.maximum(0.0, -mu_c), np.maximum(0.0, -mu_p)
 
     if n_p == 0 or n_c == 0:
-        return NtuInstabilityReport(float(ir_c.sum() + ir_p.sum()), ir_c, ir_p)
+        return NtuInstabilityReport(float(ir_c.sum() + ir_p.sum()), ir_c, ir_p, stable)
 
     candidates = _ntu_candidates(gain_c, ir_c)
     min_rest = np.array([min(c) for c in candidates])
@@ -276,7 +280,7 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
     dfs(0, 0.0)
     s_c = best_sc
     s_p = _ntu_forced_providers(s_c, gain_c, gain_p, ir_p)
-    return NtuInstabilityReport(float(s_c.sum() + s_p.sum()), s_c, s_p)
+    return NtuInstabilityReport(float(s_c.sum() + s_p.sum()), s_c, s_p, stable)
 
 
 def ntu_subset_instability_bruteforce(u: UtilityMatrix, matching: Matching) -> float:

@@ -480,7 +480,10 @@ def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndar
 
 def is_stable_ntu(u: UtilityMatrix, matching: Matching) -> bool:
     """Stability without transfers: IR plus no pair where both strictly gain."""
-    mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
+    return _ntu_stable(*ntu_gains(u, matching))
+
+
+def _ntu_stable(mu_c: np.ndarray, mu_p: np.ndarray, gain_c: np.ndarray, gain_p: np.ndarray) -> bool:
     if (mu_c.size and mu_c.min() < -TOL) or (mu_p.size and mu_p.min() < -TOL):
         return False
     return not (gain_c.size and np.minimum(gain_c, gain_p).max() > TOL)

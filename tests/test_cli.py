@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smbandits
-from smbandits.cli import build_parser, main
+from smbandits.cli import _indented, build_parser, main
 from smbandits.config import load_config, parse_config
 from smbandits.environment import sweep
 from smbandits.errors import ConfigError
@@ -26,6 +28,7 @@ SQUARE_INSTANCE = {
     "customer_values": [[1.0, 0.5], [0.2, 0.8]],
     "provider_values": [[0.3, 0.6], [0.9, 0.1]],
 }
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_json(path: Path, obj) -> Path:
@@ -405,8 +408,10 @@ class TestScoreCommand:
             ({**SQUARE_INSTANCE, "provider_values": {"a": 1}}, "provider_values"),
             ({**SQUARE_INSTANCE, "provider_values": [[0.3, 0.6]]}, "provider_values"),
             ([1, 2], "expected a JSON object"),
+            ({**SQUARE_INSTANCE, "customer_values": [[True, 0.5], [0.2, 0.8]]}, "customer_values"),
+            ({**SQUARE_INSTANCE, "provider_values": [[0.3, 0.6], [0.9, False]]}, "provider_values"),
         ],
-        ids=["value_string", "values_not_list", "shape_mismatch", "not_object"],
+        ids=["value_string", "values_not_list", "shape_mismatch", "not_object", "value_bool", "value_bool_false"],
     )
     def test_malformed_instance_names_key(self, tmp_path, capsys, instance, key):
         inst = write_json(tmp_path / "inst.json", instance)
@@ -415,6 +420,26 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert f"inst.json: {key}" in err
         assert "Traceback" not in err
+
+    def test_boolean_outside_values_accepted(self, tmp_path, capsys):
+        # A true token elsewhere in the file sends the values through the
+        # type walk, which finds numbers only.
+        outc = write_json(tmp_path / "outc.json", {"matching": [[0, 1]]})
+        printed = []
+        for name, instance in (("plain", SQUARE_INSTANCE), ("flagged", {**SQUARE_INSTANCE, "note": True})):
+            inst = write_json(tmp_path / f"{name}.json", instance)
+            assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("kind", ["tu", "ntu"])
+    def test_stdout_matches_golden(self, capsys, kind):
+        # The golden files hold json.dumps(report, indent=2, sort_keys=True)
+        # of a 4x360 hard-family outcome with a blocking pair and of a 3x3
+        # NTU outcome with a -0.0 subsidy.
+        inst, outc = (str(GOLDEN / f"score_{kind}_{part}.json") for part in ("instance", "outcome"))
+        assert main(["score", "--instance", inst, "--outcome", outc]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"score_{kind}_stdout.json").read_bytes()
 
     def test_accepts_generated_instance_snapshot(self, tmp_path, capsys):
         from smbandits.environment import gen_instance
@@ -439,6 +464,45 @@ class TestVerifyCommand:
         assert main(["verify", "--cases", "-5"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --cases: must be at least 0, got -5\n")
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(),
+)
+_STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", 'a"b\\c', "é", "\u2028", "😀", "\x00"]))
+_TU_REPORTS = st.fixed_dictionaries(
+    {
+        "ntu": st.just(False),
+        "instability": _NUMBERS,
+        "utility_difference": _NUMBERS,
+        "subsidy_total": _NUMBERS,
+        "max_coalition_unhappiness": _NUMBERS,
+        "subsidies_customers": st.lists(_NUMBERS),
+        "subsidies_providers": st.lists(_NUMBERS),
+        "coalition": st.lists(_STRINGS),
+        "witness_subset": st.lists(_STRINGS),
+        "blocking_pairs": st.lists(st.lists(st.integers(0, 10**6), min_size=2, max_size=2)),
+    }
+)
+_NTU_REPORTS = st.fixed_dictionaries(
+    {
+        "ntu": st.just(True),
+        "instability": _NUMBERS,
+        "subsidies_customers": st.lists(_NUMBERS),
+        "subsidies_providers": st.lists(_NUMBERS),
+    }
+)
+# Keys that need escaping and sort by code point.
+_OBJECTS = st.dictionaries(_STRINGS, st.one_of(_NUMBERS, _STRINGS, st.booleans(), st.none(), st.lists(_NUMBERS)))
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(_TU_REPORTS, _NTU_REPORTS, _OBJECTS))
+    def test_matches_indented_dumps(self, payload):
+        assert _indented(payload, "") == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def run_module(argv: list[str]) -> subprocess.CompletedProcess:
