@@ -173,7 +173,8 @@ def _outcome_from_json(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcom
 
 def _indented(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``. A list whose first item is not a
-    list must hold scalars only; it goes through the C encoder, which ``indent`` bypasses."""
+    list must hold scalars only; it goes through the C encoder, which ``indent`` bypasses. Any other
+    list holds the ``[i, j]`` int pairs of ``blocking_pairs``, written directly."""
     if not (isinstance(value, (dict, list)) and value):
         return json.dumps(value)
     inner = pad + "  "
@@ -181,7 +182,7 @@ def _indented(value, pad: str) -> str:
         body = (",\n" + inner).join(f"{json.dumps(key)}: {_indented(value[key], inner)}" for key in sorted(value))
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(value[0], list):
-        body = (",\n" + inner).join(_indented(item, inner) for item in value)
+        body = (",\n" + inner).join([f"[\n{inner}  {i},\n{inner}  {j}\n{inner}]" for i, j in value])
     else:
         body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
     return f"[\n{inner}{body}\n{pad}]"

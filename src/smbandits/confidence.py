@@ -66,7 +66,14 @@ def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class ConfidenceSets:
-    """Common interval surface; subclasses own the update rule."""
+    """Common interval surface; subclasses own the update rule.
+
+    Intervals live in two flat buffers, ``lo`` and ``hi``: the customer-side
+    (nI, nJ) block, then the provider-side (nJ, nI) block, viewed as ``lo_c``,
+    ``hi_c``, ``lo_p`` and ``hi_p``. Every writer writes in place, so the views
+    never go stale. ``written`` holds the positions the last ``update``
+    rewrote, None when that may be every cell; its owner may empty it.
+    """
 
     mode: str  # "unstructured" | "typed" | "linear"
 
@@ -74,11 +81,26 @@ class ConfidenceSets:
         self.num_customers = num_customers
         self.num_providers = num_providers
         self.num_agents = num_customers + num_providers
-        # Interval matrices, customer-side (nI, nJ) and provider-side (nJ, nI).
-        self.lo_c = np.full((num_customers, num_providers), -1.0)
-        self.hi_c = np.full((num_customers, num_providers), 1.0)
-        self.lo_p = np.full((num_providers, num_customers), -1.0)
-        self.hi_p = np.full((num_providers, num_customers), 1.0)
+        self.lo = np.full(2 * num_customers * num_providers, -1.0)
+        self.hi = np.full(self.lo.size, 1.0)
+        self.lo_c, self.lo_p = self._blocks(self.lo)
+        self.hi_c, self.hi_p = self._blocks(self.hi)
+        self.written: np.ndarray | None = None
+        self._placed: tuple[Matching | None, np.ndarray | None] = (None, None)
+
+    def _blocks(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The customer-side and provider-side matrices viewing ``buffer``."""
+        n_c, n_p = self.num_customers, self.num_providers
+        return buffer[: n_c * n_p].reshape(n_c, n_p), buffer[n_c * n_p :].reshape(n_p, n_c)
+
+    def _positions(self, matching: Matching) -> np.ndarray:
+        """Buffer positions of the matched cells, customer 0, provider 0, customer 1, ...: pair (i, j)
+        sits at i * nJ + j and nI * nJ + j * nI + i. The last matching's are kept."""
+        if self._placed[0] is not matching:
+            n_c, n_p = self.num_customers, self.num_providers
+            pos = [p for i, j in matching.pairs for p in (i * n_p + j, n_c * n_p + j * n_c + i)]
+            self._placed = matching, np.array(pos, dtype=np.intp)
+        return self._placed[1]
 
     # -- updates ------------------------------------------------------------
     def update(self, matching: Matching, rewards: tuple[np.ndarray, np.ndarray], horizon: int) -> None:
@@ -99,41 +121,40 @@ class ConfidenceSets:
         if not all(map(math.isfinite, r_c.tolist() + r_p.tolist())):
             raise ProtocolViolation("feedback holds a non-finite reward")
         if expected[0]:
-            ci, pj = matching.index_arrays
-            self._apply(ci, pj, r_c, r_p, horizon)
+            self.written = self._apply(matching, r_c, r_p, horizon)
 
-    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
-        """Fold rewards of the disjoint pairs (ci[k], pj[k]) into the intervals."""
+    def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> np.ndarray | None:
+        """Fold the round into the intervals; return the positions rewritten, None if maybe every cell."""
         raise NotImplementedError
 
     # -- projections ----------------------------------------------------------
     def ucb_matrix(self) -> UtilityMatrix:
-        return UtilityMatrix._trusted(self.hi_c.copy(), self.hi_p.copy())
+        return UtilityMatrix._trusted(*self._blocks(self.hi.copy()))
 
     def width_sum(self, matching: Matching) -> float:
-        """Total width over both orientations of each matched pair."""
+        """Total width over both orientations of each matched pair, added left
+        to right: customer 0, provider 0, customer 1, ..."""
+        pos = self._positions(matching)
         total = 0.0
-        for i, j in matching.pairs:
-            total += self.hi_c[i, j] - self.lo_c[i, j]
-            total += self.hi_p[j, i] - self.lo_p[j, i]
-        return float(total)
+        for width in (self.hi[pos] - self.lo[pos]).tolist():
+            total += width
+        return total
+
+    def outside(self, values: np.ndarray, at: np.ndarray | slice = slice(None), tol: float = 1e-9) -> np.ndarray:
+        """Whether each interval at positions ``at`` misses ``values``, laid out like ``lo``, by over ``tol``."""
+        v = values[at]
+        return ~((self.lo[at] - tol <= v) & (v <= self.hi[at] + tol))
 
     def contains(self, truth: UtilityMatrix, tol: float = 1e-9) -> bool:
         """Whether every interval contains the true utility (diagnostic)."""
-        return bool(
-            (self.lo_c - tol <= truth.customer_values).all()
-            and (truth.customer_values <= self.hi_c + tol).all()
-            and (self.lo_p - tol <= truth.provider_values).all()
-            and (truth.provider_values <= self.hi_p + tol).all()
-        )
+        values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
+        return not self.outside(values, tol=tol).any()
 
     # -- test/diagnostic helpers ----------------------------------------------
     def collapse_to(self, truth: UtilityMatrix) -> None:
         """Degenerate all intervals to the true utilities (oracle sets)."""
-        self.lo_c = truth.customer_values.copy()
-        self.hi_c = truth.customer_values.copy()
-        self.lo_p = truth.provider_values.copy()
-        self.hi_p = truth.provider_values.copy()
+        self.lo[:] = self.hi[:] = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
+        self.written = None
 
 
 class UnstructuredConfidence(ConfidenceSets):
@@ -142,24 +163,21 @@ class UnstructuredConfidence(ConfidenceSets):
     def __init__(self, num_customers: int, num_providers: int, config: ConfidenceConfig | None = None) -> None:
         super().__init__(num_customers, num_providers)
         self.config = config or ConfidenceConfig()
-        self.counts = np.zeros((num_customers, num_providers), dtype=int)
-        self.mean_c = np.zeros((num_customers, num_providers))
-        self.mean_p = np.zeros((num_providers, num_customers))
+        # Laid out like ``lo`` and ``hi``; both orientations of a pair share a count.
+        self.counts = np.zeros(self.lo.size, dtype=int)
+        self.mean = np.zeros(self.lo.size)
 
-    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
-        # Pairs are disjoint, so no index repeats within one fancy-index update.
+    def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> np.ndarray:
+        # Pairs are disjoint, so no position repeats within one round.
         log_term = math.log(max(self.num_agents * horizon, 2))
-        n = self.counts[ci, pj] + 1
-        self.counts[ci, pj] = n
-        mean_c = self.mean_c[ci, pj]
-        mean_c += (r_c - mean_c) / n
-        self.mean_c[ci, pj] = mean_c
-        mean_p = self.mean_p[pj, ci]
-        mean_p += (r_p - mean_p) / n
-        self.mean_p[pj, ci] = mean_p
-        hw = self.config.ucb_scale * np.sqrt(log_term / n)
-        self.lo_c[ci, pj], self.hi_c[ci, pj] = _clip_intervals(mean_c, hw)
-        self.lo_p[pj, ci], self.hi_p[pj, ci] = _clip_intervals(mean_p, hw)
+        pos = self._positions(matching)
+        n = self.counts[pos] + 1
+        self.counts[pos] = n
+        mean = self.mean[pos]
+        mean += (np.array((r_c, r_p)).T.reshape(-1) - mean) / n
+        self.mean[pos] = mean
+        self.lo[pos], self.hi[pos] = _clip_intervals(mean, self.config.ucb_scale * np.sqrt(log_term / n))
+        return pos
 
 
 class TypedConfidence(ConfidenceSets):
@@ -187,22 +205,17 @@ class TypedConfidence(ConfidenceSets):
         self.type_mean = np.zeros((num_types, num_types))
         self.type_lo = np.full((num_types, num_types), -1.0)
         self.type_hi = np.full((num_types, num_types), 1.0)
-        # Flat type-cell index of every ordered pair, customer-side (nI, nJ)
-        # and provider-side (nJ, nI).
-        self._cell_c = self.customer_types[:, None] * num_types + self.provider_types[None, :]
-        self._cell_p = self.provider_types[:, None] * num_types + self.customer_types[None, :]
+        # Flat type-cell index of every buffer cell.
+        tc, tp = self.customer_types, self.provider_types
+        self._cells = np.concatenate((tc[:, None] * num_types + tp, tp[:, None] * num_types + tc), axis=None)
 
-    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
+    def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
         log_term = math.log(max(self.num_agents * horizon, 2))
         # Cells repeat within a round (shared type pairs, or tc == tp), so the
         # running means fold observations one at a time, in the order
         # customer 0, provider 0, customer 1, provider 1, ...
-        cells = np.empty(2 * len(ci), dtype=np.intp)
-        cells[0::2] = self._cell_c[ci, pj]
-        cells[1::2] = self._cell_p[pj, ci]
-        rewards = np.empty(cells.size)
-        rewards[0::2] = r_c
-        rewards[1::2] = r_p
+        cells = self._cells[self._positions(matching)]
+        rewards = np.array((r_c, r_p)).T.reshape(-1)
         touched = np.unique(cells)
         counts = self.type_counts.reshape(-1)
         mean = self.type_mean.reshape(-1)
@@ -218,15 +231,8 @@ class TypedConfidence(ConfidenceSets):
         lo, hi = _clip_intervals(mean[touched], hw)
         self.type_lo.reshape(-1)[touched] = lo
         self.type_hi.reshape(-1)[touched] = hi
-        self._refresh_pairs()
-
-    def _refresh_pairs(self) -> None:
-        lo = self.type_lo.reshape(-1)
-        hi = self.type_hi.reshape(-1)
-        self.lo_c = lo[self._cell_c]
-        self.hi_c = hi[self._cell_c]
-        self.lo_p = lo[self._cell_p]
-        self.hi_p = hi[self._cell_p]
+        self.type_lo.take(self._cells, out=self.lo)
+        self.type_hi.take(self._cells, out=self.hi)
 
 
 class LinearConfidence(ConfidenceSets):
@@ -271,13 +277,14 @@ class LinearConfidence(ConfidenceSets):
             + self.config.lin_beta_log_coeff * math.log(max(self.num_agents * horizon, 2))
         )
 
-    def _apply(self, ci: np.ndarray, pj: np.ndarray, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
+    def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
         # Each agent is matched at most once per round, so both sides stack
         # into 2k distinct slots, customers first, for one update, solve and
         # inverse (LAPACK treats each matrix as a one-agent call would); only
         # centre and bonus, whose partners differ, stay per side. The matmuls
         # match ``partners @ phi`` and ``np.linalg.norm(phi)`` to the last bit.
         cc, pc = self.customer_contexts, self.provider_contexts
+        ci, pj = matching.index_arrays
         slots = np.concatenate((ci, self.num_customers + pj))
         ctx = np.concatenate((pc[pj], cc[ci]))
         self.V[slots] = V = self.V[slots] + ctx[:, :, None] * ctx[:, None, :]

@@ -319,6 +319,10 @@ def run(
 
     A round whose decision scores the very outcome object of the round
     before, on bytewise the same arrivals, reuses that round's judgement.
+
+    Inside ``run`` the sets change only through ``update``, once per round,
+    which names the buffer positions it rewrote (``conf.written``): the
+    containment column rechecks only those, or takes a full ``contains``.
     """
     policy = spec.build(instance, horizon)
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
@@ -337,13 +341,27 @@ def run(
     )
     infos: list[dict] = []
     last: tuple | None = None  # scored outcome, arrival bytes and _judge result of the last judged round
+    values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)  # laid out like conf.lo
+    outside = None  # per buffer cell, whether its interval misses the truth; None when not known
 
     def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
         return _observe(truth, matching, instance.noise, noise_rng)
 
     for t in range(horizon):
         cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
-        trace.containment[t] = policy.conf.contains(truth)
+        written, policy.conf.written = policy.conf.written, ()
+        if written is None:
+            trace.containment[t] = policy.conf.contains(truth)
+            outside = None
+        else:
+            if outside is None:
+                outside = policy.conf.outside(values)
+                missed = np.count_nonzero(outside)
+            elif len(written):
+                now = policy.conf.outside(values, written)
+                missed += np.count_nonzero(now) - np.count_nonzero(outside[written])
+                outside[written] = now
+            trace.containment[t] = missed == 0
         decision = policy.step((cust, prov), feedback)
         arrived = (cust.tobytes(), prov.tobytes())
         if last is not None and last[0] is decision.scored_outcome and last[1] == arrived:

@@ -74,9 +74,7 @@ def compute_match(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
 
 def expanded_upper_bounds(conf: ConfidenceSets) -> UtilityMatrix:
     """Upper bounds of the doubled-width sets C' (not clipped to [-1, 1])."""
-    hi_c = conf.hi_c + (conf.hi_c - conf.lo_c) / 2.0
-    hi_p = conf.hi_p + (conf.hi_p - conf.lo_p) / 2.0
-    return UtilityMatrix._trusted(hi_c, hi_p)
+    return UtilityMatrix._trusted(*conf._blocks(conf.hi + (conf.hi - conf.lo) / 2.0))
 
 
 def _best_and_gap(ucb: UtilityMatrix, joint: np.ndarray) -> tuple[Matching | None, float]:
@@ -250,15 +248,15 @@ class Policy:
     def _select(self, arrivals: Arrivals) -> RoundDecision:
         raise NotImplementedError
 
-    def _memo(self, fn, arrivals: Arrivals, *arrays: np.ndarray):
+    def _memo(self, fn, arrivals: Arrivals):
         """``fn(self.conf, arrivals)``, reused while ``fn``, the arrivals and
-        ``arrays`` are bytewise those of the last call.
+        the upper bounds ``conf.hi`` are bytewise those of the last call.
 
         Bytes, not values, are compared, so -0.0 and 0.0 differ and a reused
-        result is the one a fresh call would return. The key is the arrays'
+        result is the one a fresh call would return. The key holds the arrays'
         contents, not a version counter: callers may write the sets in place.
         """
-        key = (fn, *[(a.shape, a.tobytes()) for a in (*arrivals, *arrays)])
+        key = (fn, *[(a.shape, a.tobytes()) for a in arrivals], self.conf.hi.tobytes())
         if key != self._memo_key:
             self._memo_value = fn(self.conf, arrivals)
             self._memo_key = key
@@ -275,7 +273,7 @@ class MatchUcbPolicy(Policy):
     kind = "match_ucb"
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        outcome = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
+        outcome = self._memo(compute_match, arrivals)
         w = self.conf.width_sum(outcome.matching)
         return RoundDecision(outcome, w, w, 0.0)
 
@@ -298,7 +296,7 @@ class MatchNtuUcbPolicy(Policy):
     compatible_sets = (UnstructuredConfidence, TypedConfidence)
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        outcome = self._memo(_ntu_outcome, arrivals, self.conf.hi_c, self.conf.hi_p)
+        outcome = self._memo(_ntu_outcome, arrivals)
         w = self.conf.width_sum(outcome.matching)
         return RoundDecision(outcome, w, w, 0.0)
 
@@ -335,7 +333,7 @@ class EtcPolicy(Policy):
         if not self.committed and (self.explored >= self.pulls_per_pair).all():
             self.committed = True
         if self.committed:
-            outcome = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
+            outcome = self._memo(compute_match, arrivals)
             w = self.conf.width_sum(outcome.matching)
             return RoundDecision(outcome, w, w, 0.0)
 
@@ -378,7 +376,7 @@ class RevenueFrictionsPolicy(Policy):
         self.epsilon = epsilon
 
     def _select(self, arrivals: Arrivals) -> RoundDecision:
-        base = self._memo(compute_match, arrivals, self.conf.hi_c, self.conf.hi_p)
+        base = self._memo(compute_match, arrivals)
         tau_c = base.customer_transfers.copy()
         tau_p = base.provider_transfers.copy()
         for i, j in base.matching.pairs:

@@ -110,12 +110,12 @@ class TestUnstructuredUpdate:
         conf = UnstructuredConfidence(2, 2)
         m = Matching([(0, 0), (1, 1)])
         conf.update(m, obs_for(m, 0.1), horizon=100)
-        state = [a.copy() for a in (conf.counts, conf.mean_c, conf.mean_p, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)]
+        state = [a.copy() for a in (conf.counts, conf.mean, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)]
         rewards = list(obs_for(m, 0.3))
         rewards[side][1] = value
         with pytest.raises(ProtocolViolation, match="non-finite"):
             conf.update(m, tuple(rewards), horizon=100)
-        after = (conf.counts, conf.mean_c, conf.mean_p, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)
+        after = (conf.counts, conf.mean, conf.lo_c, conf.hi_c, conf.lo_p, conf.hi_p)
         assert all(np.array_equal(a, b) for a, b in zip(state, after))
 
     def test_feedback_other_than_two_arrays_rejected(self):

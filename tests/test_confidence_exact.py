@@ -30,14 +30,18 @@ def clip_interval(mean, hw):
 
 def reference_unstructured(conf, pairs, r_c, r_p, horizon):
     log_term = math.log(max(conf.num_agents * horizon, 2))
+    n_c, n_p = conf.num_customers, conf.num_providers
     for k, (i, j) in enumerate(pairs):
-        n = conf.counts[i, j] + 1
-        conf.counts[i, j] = n
-        conf.mean_c[i, j] += (float(r_c[k]) - conf.mean_c[i, j]) / n
-        conf.mean_p[j, i] += (float(r_p[k]) - conf.mean_p[j, i]) / n
+        # The flat buffers hold the (n_c, n_p) customer-side block, then the
+        # (n_p, n_c) provider-side block.
+        c, p = i * n_p + j, n_c * n_p + j * n_c + i
+        n = conf.counts[c] + 1
+        conf.counts[c] = conf.counts[p] = n
+        conf.mean[c] += (float(r_c[k]) - conf.mean[c]) / n
+        conf.mean[p] += (float(r_p[k]) - conf.mean[p]) / n
         hw = conf.config.ucb_scale * math.sqrt(log_term / n)
-        conf.lo_c[i, j], conf.hi_c[i, j] = clip_interval(conf.mean_c[i, j], hw)
-        conf.lo_p[j, i], conf.hi_p[j, i] = clip_interval(conf.mean_p[j, i], hw)
+        conf.lo[c], conf.hi[c] = clip_interval(conf.mean[c], hw)
+        conf.lo[p], conf.hi[p] = clip_interval(conf.mean[p], hw)
 
 
 def reference_typed(conf, pairs, r_c, r_p, horizon):
@@ -52,10 +56,10 @@ def reference_typed(conf, pairs, r_c, r_p, horizon):
             hw = conf.config.ucb_scale * math.sqrt(log_term / n)
             conf.type_lo[x, y], conf.type_hi[x, y] = clip_interval(conf.type_mean[x, y], hw)
     tc, tp = conf.customer_types, conf.provider_types
-    conf.lo_c = conf.type_lo[np.ix_(tc, tp)]
-    conf.hi_c = conf.type_hi[np.ix_(tc, tp)]
-    conf.lo_p = conf.type_lo[np.ix_(tp, tc)]
-    conf.hi_p = conf.type_hi[np.ix_(tp, tc)]
+    conf.lo_c[:] = conf.type_lo[np.ix_(tc, tp)]
+    conf.hi_c[:] = conf.type_hi[np.ix_(tc, tp)]
+    conf.lo_p[:] = conf.type_lo[np.ix_(tp, tc)]
+    conf.hi_p[:] = conf.type_hi[np.ix_(tp, tc)]
 
 
 def reference_linear(conf, pairs, r_c, r_p, horizon):
@@ -132,7 +136,7 @@ def test_unstructured_matches_reference(seed):
     play(
         lambda: UnstructuredConfidence(n_c, n_p, NARROW),
         reference_unstructured,
-        ("counts", "mean_c", "mean_p"),
+        ("counts", "mean"),
         rng, n_c, n_p,
     )
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_market, random_zero_sum_outcome
 from smbandits.errors import InvalidOutcome, TooLarge
@@ -262,11 +264,50 @@ class TestNtuUpperBound:
             width = rng.uniform(0.05, 0.8)
             off_c = rng.uniform(0.0, width, (3, 3))
             off_p = rng.uniform(0.0, width, (3, 3))
-            conf.lo_c = truth.customer_values - off_c
-            conf.hi_c = conf.lo_c + width
-            conf.lo_p = truth.provider_values - off_p
-            conf.hi_p = conf.lo_p + width
+            conf.lo_c[:] = truth.customer_values - off_c
+            conf.hi_c[:] = conf.lo_c + width
+            conf.lo_p[:] = truth.provider_values - off_p
+            conf.hi_p[:] = conf.lo_p + width
             matching = compute_match_ntu(conf, all_arrivals(3, 3))
             bound = conf.width_sum(matching)
             exact = ntu_subset_instability(truth, matching).value
             assert exact <= bound + 1e-9
+
+
+def _entries(ties: bool, bound: int):
+    """Quarter-integers in [-bound/4, bound/4] (tie-heavy), or floats in
+    [-bound/4, bound/4]."""
+    if ties:
+        return st.integers(-bound, bound).map(lambda x: x / 4.0)
+    return st.floats(-bound / 4.0, bound / 4.0, allow_nan=False)
+
+
+@st.composite
+def tu_markets_and_outcomes(draw):
+    """A market up to 6x6 and a zero-sum outcome on a random matching."""
+    n_c, n_p = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ties = draw(st.booleans())
+    cv = draw(st.lists(_entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
+    pv = draw(st.lists(_entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
+    u = UtilityMatrix(np.reshape(cv, (n_c, n_p)), np.reshape(pv, (n_p, n_c)))
+    k = draw(st.integers(0, min(n_c, n_p)))
+    ci = draw(st.permutations(range(n_c)))[:k]
+    pj = draw(st.permutations(range(n_p)))[:k]
+    tau_c, tau_p = np.zeros(n_c), np.zeros(n_p)
+    for i, j, x in zip(ci, pj, draw(st.lists(_entries(ties, 6), min_size=k, max_size=k))):
+        tau_c[i], tau_p[j] = x, -x
+    return u, MarketOutcome(Matching(zip(ci, pj)), tau_c, tau_p)
+
+
+class TestIdentityProperties:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(tu_markets_and_outcomes())
+    def test_value_subsidy_and_coalition_identities(self, case):
+        u, outcome = case
+        report = subset_instability(u, outcome)
+        value = report.value
+        tol = 1e-9 * max(1.0, abs(value))
+        assert utility_difference(u, outcome) <= value + tol
+        assert abs(report.subsidy_total() - value) <= tol
+        # The largest gain of any coalition, by literal enumeration of subsets.
+        assert abs(subset_instability_bruteforce(u, outcome) - value) <= tol

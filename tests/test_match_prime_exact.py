@@ -178,8 +178,8 @@ def interval_state(rng, n_c, n_p, kind):
             hi_p[:, 1] = hi_p[:, 0]
             width_c[1] = width_c[0]
             width_p[:, 1] = width_p[:, 0]
-    conf.hi_c, conf.lo_c = hi_c, hi_c - width_c
-    conf.hi_p, conf.lo_p = hi_p, hi_p - width_p
+    conf.hi_c[:], conf.lo_c[:] = hi_c, hi_c - width_c
+    conf.hi_p[:], conf.lo_p[:] = hi_p, hi_p - width_p
     return conf
 
 

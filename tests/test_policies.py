@@ -39,10 +39,10 @@ def shifted_conf(truth: UtilityMatrix, rng: np.random.Generator, width: float) -
     conf = UnstructuredConfidence(truth.num_customers, truth.num_providers)
     off_c = rng.uniform(0.0, width, truth.customer_values.shape)
     off_p = rng.uniform(0.0, width, truth.provider_values.shape)
-    conf.lo_c = truth.customer_values - off_c
-    conf.hi_c = conf.lo_c + width
-    conf.lo_p = truth.provider_values - off_p
-    conf.hi_p = conf.lo_p + width
+    conf.lo_c[:] = truth.customer_values - off_c
+    conf.hi_c[:] = conf.lo_c + width
+    conf.lo_p[:] = truth.provider_values - off_p
+    conf.hi_p[:] = conf.lo_p + width
     return conf
 
 
@@ -92,8 +92,8 @@ class TestComputeMatch:
         # the market is gathered through them, not taken in index order.
         rng = np.random.default_rng(3)
         conf = UnstructuredConfidence(3, 3)
-        conf.hi_c = rng.uniform(-1.0, 1.0, (3, 3))
-        conf.hi_p = rng.uniform(-1.0, 1.0, (3, 3))
+        conf.hi_c[:] = rng.uniform(-1.0, 1.0, (3, 3))
+        conf.hi_p[:] = rng.uniform(-1.0, 1.0, (3, 3))
         scrambled = compute_match(conf, (np.array([2, 1, 0]), np.array([0, 1, 2])))
         ordered = compute_match(conf, all_arrivals(3, 3))
         assert scrambled.matching.pairs == ordered.matching.pairs == ((0, 2),)
@@ -246,7 +246,7 @@ class TestEtc:
             rounds += 1
             assert rounds < 100
         assert (policy.explored == 5).all()
-        names = ("lo_c", "hi_c", "lo_p", "hi_p", "counts", "mean_c", "mean_p")
+        names = ("lo_c", "hi_c", "lo_p", "hi_p", "counts", "mean")
         frozen = {name: getattr(policy.conf, name).copy() for name in names}
         for _ in range(5):
             decision = policy.step(all_arrivals(2, 2), feedback)

@@ -125,8 +125,8 @@ def interval_state(rng, n_c, n_p, kind):
     else:
         hi_c = rng.uniform(-1.0, 1.0, (n_c, n_p))
         hi_p = rng.uniform(-1.0, 1.0, (n_p, n_c))
-    conf.hi_c, conf.lo_c = hi_c, hi_c - 0.5
-    conf.hi_p, conf.lo_p = hi_p, hi_p - 0.5
+    conf.hi_c[:], conf.lo_c[:] = hi_c, hi_c - 0.5
+    conf.hi_p[:], conf.lo_p[:] = hi_p, hi_p - 0.5
     return conf
 
 

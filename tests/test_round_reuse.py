@@ -18,7 +18,7 @@ import pytest
 from conftest import trace_digest
 from smbandits import environment as env
 from smbandits import policies as pol
-from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
+from smbandits.confidence import ConfidenceConfig, TypedConfidence, UnstructuredConfidence
 from smbandits.market import MarketOutcome
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -33,7 +33,7 @@ def load_workloads():
     return module
 
 
-def call_through(self, fn, arrivals, *arrays):
+def call_through(self, fn, arrivals):
     return fn(self.conf, arrivals)
 
 
@@ -119,13 +119,21 @@ POLICIES = {
     "etc": (lambda conf: pol.EtcPolicy(conf, 100, pulls_per_pair=0), pol.compute_match),
     "revenue_frictions": (lambda conf: pol.RevenueFrictionsPolicy(conf, 100, 0.3), pol.compute_match),
     "match_ntu_ucb": (lambda conf: pol.MatchNtuUcbPolicy(conf, 100), pol.compute_match_ntu),
+    # Typed sets rewrite every pair cell from its type cell on each update.
+    "match_typed_ucb": (lambda conf: pol.MatchUcbPolicy(conf, 100), pol.compute_match),
 }
+
+
+def fresh_sets(kind):
+    if kind == "match_typed_ucb":
+        return TypedConfidence(np.array([0, 1, 1]), np.array([1, 0, 1]), 2)
+    return UnstructuredConfidence(3, 3)
 
 
 @pytest.mark.parametrize("kind", sorted(POLICIES))
 def test_in_place_edits_are_seen(kind):
     build, compute = POLICIES[kind]
-    conf = UnstructuredConfidence(3, 3)
+    conf = fresh_sets(kind)
     policy = build(conf)
     arrivals = pol.all_arrivals(3, 3)
     first = policy.step(arrivals, top_rewards).scored_outcome
@@ -154,11 +162,11 @@ def test_memo_compares_bytes_not_values():
 
     arrivals = pol.all_arrivals(2, 2)
     conf.hi_c[0, 0] = 0.0
-    first = policy._memo(fn, arrivals, conf.hi_c, conf.hi_p)
-    assert policy._memo(fn, arrivals, conf.hi_c, conf.hi_p) is first
+    first = policy._memo(fn, arrivals)
+    assert policy._memo(fn, arrivals) is first
     conf.hi_c[0, 0] = -0.0  # equal as a value, not as bytes
-    assert policy._memo(fn, arrivals, conf.hi_c, conf.hi_p) is not first
-    assert policy._memo(fn, (np.arange(1), np.arange(2)), conf.hi_c, conf.hi_p) is not first
+    assert policy._memo(fn, arrivals) is not first
+    assert policy._memo(fn, (np.arange(1), np.arange(2))) is not first
     assert len(calls) == 3
 
 
