@@ -47,21 +47,10 @@ def write_trace_csv(path: Path, traces: dict[int, env.RegretTrace]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for seed in sorted(traces):
         trace = traces[seed]
-        cum = trace.cum_regret
+        columns = (trace.instability, trace.cum_regret, trace.width_sum, trace.revenue)
         for t in range(trace.horizon):
-            lines.append(
-                ",".join(
-                    (
-                        str(t + 1),
-                        str(seed),
-                        _fmt(trace.instability[t]),
-                        _fmt(cum[t]),
-                        _fmt(trace.width_sum[t]),
-                        _fmt(trace.revenue[t]),
-                        str(int(trace.bound_only[t])),
-                    )
-                )
-            )
+            values = ",".join(_fmt(column[t]) for column in columns)
+            lines.append(f"{t + 1},{seed},{values},{int(trace.bound_only[t])}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

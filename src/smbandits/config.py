@@ -20,6 +20,10 @@ SCHEMA_VERSION = 1
 
 _CLASSES = ("unstructured", "typed", "linear")
 
+# Gaussian feedback is mean + sigma * z, and numpy's ziggurat sampler keeps |z| < 14. Below this bound |sigma * z|
+# is under half an ulp of the largest double (2**970, about 1e292), so every draw is finite for every finite mean.
+_SIGMA_MAX = 1e290
+
 
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
@@ -128,7 +132,7 @@ def _parse_noise(obj: dict, path: str) -> NoiseSpec:
     kind = obj.get("kind", "gaussian")
     _require(kind in ("gaussian", "bernoulli"), f"{path}.kind", "must be gaussian|bernoulli")
     sigma = float(obj.get("sigma", 1.0))
-    _require(math.isfinite(sigma) and sigma >= 0, f"{path}.sigma", "must be finite and nonnegative")
+    _require(0 <= sigma <= _SIGMA_MAX, f"{path}.sigma", f"must lie in [0, {_SIGMA_MAX:g}]")
     return NoiseSpec(kind=kind, sigma=sigma)
 
 

@@ -23,10 +23,10 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    _inequalities_hold,
     is_stable_ntu,
     is_stable_tu,  # not called here; perfbench/tracer.py patches this name
     lists_all_in_order,
-    payoff_inequalities_hold,
 )
 
 _TOTAL_ROUNDS_GUARD = 20_000_000
@@ -372,8 +372,8 @@ def run(
         if fee > 0:
             # The published transfers charge the fee and refund this round's widths.
             truth_sub = truth.restrict(cust, prov)
-            payoffs = _restrict_outcome(decision.outcome, cust, prov).net_payoffs(truth_sub)
-            stable = payoff_inequalities_hold(*payoffs, truth_sub.joint(), fee)
+            payoffs = _restrict_outcome(decision.outcome, cust, prov)._payoff_vector(truth_sub)
+            stable = _inequalities_hold(payoffs, truth_sub.joint(), fee)
         trace.instability[t] = decision.certified_instability_bound if bound else inst
         trace.width_sum[t] = decision.width_sum
         trace.certified_bound[t] = decision.certified_instability_bound

@@ -28,12 +28,12 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    _inequalities_hold,
     _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
     customer,
     ntu_gains,
-    payoff_inequalities_hold,
     provider,
 )
 
@@ -65,58 +65,56 @@ class NtuInstabilityReport:
     stable: bool  # is_stable_ntu of the matching, from the same gains
 
 
-def _zero_sum_payoffs(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Net payoffs q and the joint weights; InvalidOutcome unless the
-    outcome's transfers are zero-sum."""
+def _payoffs_and_gains(u: UtilityMatrix, outcome: MarketOutcome):
+    """Net payoffs q = (q_c, q_p) as one vector, the joint weights, pair gains
+    g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j;
+    InvalidOutcome unless the outcome's transfers are zero-sum."""
     outcome.check_zero_sum()
-    q_c, q_p = outcome.net_payoffs(u)
-    return q_c, q_p, u.joint()
+    q = outcome._payoff_vector(u)
+    n_c = u.num_customers
+    joint = u.joint()
+    g = joint - q[:n_c, None] - q[None, n_c:]
+    f = np.maximum(0.0, -q)
+    return q, joint, g, f, g - f[:n_c, None] - f[None, n_c:]
 
 
-def _reduced_gains(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray):
-    """Pair gains g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j."""
-    g = joint - q_c[:, None] - q_p[None, :]
-    f_c = np.maximum(0.0, -q_c)
-    f_p = np.maximum(0.0, -q_p)
-    return g, f_c, f_p, g - f_c[:, None] - f_p[None, :]
-
-
-def _instability_value(g: np.ndarray, f_c: np.ndarray, f_p: np.ndarray, rows, cols) -> float:
+def _instability_value(g: np.ndarray, f: np.ndarray, rows, cols) -> float:
     """Sum of the floors plus the gains of the matched pairs ``rows``/``cols``.
 
     One term per customer (its pair's gain g if matched, else its floor), then
     one per provider (its floor if unmatched, else zero), summed as one array.
     The recorded golden trace depends on this order down to the last bit.
     """
-    terms = np.concatenate((f_c, f_p))
+    terms = f.copy()
     terms[rows] = g[rows, cols]
-    terms[len(f_c) + cols] = 0.0
+    terms[len(g) + cols] = 0.0
     return max(0.0, float(terms.sum()))
 
 
-def _value_of_reduced(g: np.ndarray, f_c: np.ndarray, f_p: np.ndarray, h: np.ndarray) -> float:
+def _value_of_reduced(g: np.ndarray, f: np.ndarray, h: np.ndarray) -> float:
     """The metric from one rectangular max-weight solve of the reduced gains."""
     rows, cols = linear_sum_assignment(np.maximum(h, 0.0), maximize=True)
     keep = h[rows, cols] > 0.0
-    return _instability_value(g, f_c, f_p, rows[keep], cols[keep])
+    if not keep.all():
+        rows, cols = rows[keep], cols[keep]
+    return _instability_value(g, f, rows, cols)
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Value-only fast path of :func:`subset_instability`."""
-    return _value_of_reduced(*_reduced_gains(*_zero_sum_payoffs(u, outcome)))
+    return _value_of_reduced(*_payoffs_and_gains(u, outcome)[2:])
 
 
 def subset_instability_and_stability(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, bool]:
     """``(subset_instability_value(u, outcome), is_stable_tu(u, outcome))``
-    from one zero-sum check, one net-payoff pass and one joint matrix.
+    from one zero-sum check, one net-payoff vector and one joint matrix.
 
     The flag applies the tests of :func:`is_stable_tu` to the same payoffs
     and joint weights in the same order, so both results are bitwise those
     of the two separate calls.
     """
-    q_c, q_p, joint = _zero_sum_payoffs(u, outcome)
-    value = _value_of_reduced(*_reduced_gains(q_c, q_p, joint))
-    return value, payoff_inequalities_hold(q_c, q_p, joint)
+    q, joint, g, f, h = _payoffs_and_gains(u, outcome)
+    return _value_of_reduced(g, f, h), _inequalities_hold(q, joint)
 
 
 def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityReport:
@@ -128,18 +126,17 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     positive floor violate individual rationality, and together they form the
     witness coalition; its dual prices t give the optimal subsidies f + t.
     """
-    g, f_c, f_p, h = _reduced_gains(*_zero_sum_payoffs(u, outcome))
+    _, _, g, f, h = _payoffs_and_gains(u, outcome)
+    n_c = u.num_customers
     pairs, t_c, t_p = assignment_with_duals(h)
     rows, cols = Matching._from_disjoint(tuple(pairs)).index_arrays
-    value = _instability_value(g, f_c, f_p, rows, cols)
+    value = _instability_value(g, f, rows, cols)
 
     blocking = {(i, j) for i, j in pairs if g[i, j] > TOL}
-    unmatched_c = np.ones(u.num_customers, dtype=bool)
-    unmatched_c[rows] = False
-    unmatched_p = np.ones(u.num_providers, dtype=bool)
-    unmatched_p[cols] = False
-    ir = {customer(int(i)) for i in np.flatnonzero(unmatched_c & (f_c > TOL))}
-    ir |= {provider(int(j)) for j in np.flatnonzero(unmatched_p & (f_p > TOL))}
+    unmatched = np.ones(len(f), dtype=bool)
+    unmatched[rows] = False
+    unmatched[n_c + cols] = False
+    ir = {customer(a) if a < n_c else provider(a - n_c) for a in np.flatnonzero(unmatched & (f > TOL)).tolist()}
 
     witness: set[AgentId] = set(ir)
     for i, j in blocking:
@@ -149,8 +146,8 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     return InstabilityReport(
         value=value,
         witness_subset=frozenset(witness),
-        subsidies_customers=f_c + t_c,
-        subsidies_providers=f_p + t_p,
+        subsidies_customers=f[:n_c] + t_c,
+        subsidies_providers=f[n_c:] + t_p,
         blocking_pairs=frozenset(blocking),
         ir_violations=frozenset(ir),
     )

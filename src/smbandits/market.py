@@ -141,9 +141,7 @@ class Matching:
 
     def __init__(self, pairs=()) -> None:
         normalized = tuple(sorted((int(i), int(j)) for i, j in pairs))
-        customers = [i for i, _ in normalized]
-        providers = [j for _, j in normalized]
-        if len(set(customers)) != len(customers) or len(set(providers)) != len(providers):
+        if len({i for i, _ in normalized}) < len(normalized) or len({j for _, j in normalized}) < len(normalized):
             raise ValueError("matching pairs are not disjoint")
         object.__setattr__(self, "pairs", normalized)
 
@@ -198,12 +196,17 @@ class MarketOutcome:
 
     def net_payoffs(self, u: UtilityMatrix) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent match utility plus transfer (zero for unmatched agents)."""
-        q_c = self.customer_transfers.copy()
-        q_p = self.provider_transfers.copy()
+        q = self._payoff_vector(u)
+        return q[: u.num_customers], q[u.num_customers :]
+
+    def _payoff_vector(self, u: UtilityMatrix) -> np.ndarray:
+        """The net payoffs of every customer, then of every provider, as one vector."""
+        n_c = u.num_customers
+        q = np.concatenate((self.customer_transfers, self.provider_transfers))
         for i, j in self.matching.pairs:
-            q_c[i] += u.customer_values[i, j]
-            q_p[j] += u.provider_values[j, i]
-        return q_c, q_p
+            q[i] += u.customer_values[i, j]
+            q[n_c + j] += u.provider_values[j, i]
+        return q
 
     def check_zero_sum(self, tol: float = TOL) -> None:
         """Raise InvalidOutcome unless every matched pair's transfers sum to
@@ -319,7 +322,8 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
     # are nonnegative by construction, as x <= w_k.
     p_c[ci] = x
     p_p[pj] = wk - x
-    slack = p_c[:, None] + p_p - w
+    slack = p_c[:, None] + p_p
+    slack -= w
     tol = _DUAL_RTOL * w.max()
     if min(xl) < -tol or slack.min() < -tol or max([a + (b - a) - b for a, b in zip(xl, wk.tolist())]) > tol:
         raise UncertifiedDuals(f"no dual prices certify the matching to tolerance {tol:.3g}")
@@ -442,17 +446,17 @@ def payoff_inequalities_hold(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray
     Transfers need not be zero-sum; this is also the eps-stability notion
     of the search-frictions setting, where fees make them non-zero-sum.
     """
+    return _inequalities_hold(np.concatenate((q_c, q_p)), joint, eps)
+
+
+def _inequalities_hold(q: np.ndarray, joint: np.ndarray, eps: float = 0.0) -> bool:
+    """:func:`payoff_inequalities_hold` on one vector of customer, then provider, net payoffs."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if q_c.size and q_c.min() < -eps - TOL:
+    if q.size and q.min() < -eps - TOL:
         return False
-    if q_p.size and q_p.min() < -eps - TOL:
-        return False
-    if q_c.size and q_p.size:
-        slack = q_c[:, None] + q_p[None, :] - joint + 2.0 * eps
-        if slack.min() < -TOL:
-            return False
-    return True
+    n_c = len(joint)
+    return not (joint.size and (q[:n_c, None] + q[None, n_c:] - joint + 2.0 * eps).min() < -TOL)
 
 
 def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> bool:
@@ -463,7 +467,7 @@ def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> 
     zero-sum (InvalidOutcome otherwise).
     """
     outcome.check_zero_sum()
-    return payoff_inequalities_hold(*outcome.net_payoffs(u), u.joint(), eps)
+    return _inequalities_hold(outcome._payoff_vector(u), u.joint(), eps)
 
 
 def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from .market import (
     assignment_with_duals,
     certified_duals,
     heaviest_matchings,
+    lists_all_in_order,
     second_best_matching,
 )
 
@@ -36,25 +37,21 @@ def all_arrivals(num_customers: int, num_providers: int) -> Arrivals:
 
 
 def _outcome_from_duals(
-    ucb: UtilityMatrix,
-    pairs_local,
-    p_c: np.ndarray,
-    p_p: np.ndarray,
-    cust: np.ndarray,
-    prov: np.ndarray,
-    n_c: int,
-    n_p: int,
+    ucb: UtilityMatrix, local: Matching, p_c: np.ndarray, p_p: np.ndarray, arrivals: Arrivals, n_c: int, n_p: int
 ) -> MarketOutcome:
-    """Global-index outcome with transfers tau_a = p_a - ucb_a(mu(a))."""
+    """Global-index outcome with transfers tau_a = p_a - ucb_a(mu(a)); its matching
+    is ``local`` itself when the lift through the arrivals keeps every pair."""
+    cust, prov = arrivals
     tau_c = np.zeros(n_c)
     tau_p = np.zeros(n_p)
     lifted = []
-    for (li, lj) in pairs_local:
+    for (li, lj) in local.pairs:
         gi, gj = int(cust[li]), int(prov[lj])
         tau_c[gi] = p_c[li] - ucb.customer_values[li, lj]
         tau_p[gj] = p_p[lj] - ucb.provider_values[lj, li]
         lifted.append((gi, gj))
-    return MarketOutcome(Matching._from_disjoint(tuple(lifted)), tau_c, tau_p)
+    lifted = tuple(lifted)
+    return MarketOutcome(local if lifted == local.pairs else Matching._from_disjoint(lifted), tau_c, tau_p)
 
 
 def _optimistic_outcome(
@@ -63,7 +60,8 @@ def _optimistic_outcome(
     """The outcome stable for ``ucb``, the upper bounds restricted to the
     arrivals, whose joint weights are ``joint``."""
     pairs, p_c, p_p = assignment_with_duals(joint)
-    return _outcome_from_duals(ucb, pairs, p_c, p_p, *arrivals, conf.num_customers, conf.num_providers)
+    local = Matching._from_disjoint(tuple(pairs))
+    return _outcome_from_duals(ucb, local, p_c, p_p, arrivals, conf.num_customers, conf.num_providers)
 
 
 def compute_match(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
@@ -124,24 +122,26 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     """
     cust, prov = arrivals
     n_c, n_p = conf.num_customers, conf.num_providers
-    n_arrived = len(cust) + len(prov)
-    ucb = conf.ucb_matrix().restrict(cust, prov)
+    # Full arrivals read the upper bounds in place, as views of conf.hi.
+    full = lists_all_in_order(cust, n_c) and lists_all_in_order(prov, n_p)
+    hi = UtilityMatrix._trusted(conf.hi_c, conf.hi_p)
+    ucb = hi if full else hi.restrict(cust, prov)
     joint = ucb.joint()
     x_star, gap = _best_and_gap(ucb, joint) if len(cust) and len(prov) else (None, 0.0)
     if gap <= TOL:
         return _optimistic_outcome(conf, arrivals, ucb, joint), {"branch": "fallback", "gap": 0.0}
 
-    ucb2 = expanded_upper_bounds(conf).restrict(cust, prov)
+    ucb2 = expanded_upper_bounds(conf) if full else expanded_upper_bounds(conf).restrict(cust, prov)
     joint2 = ucb2.joint()
     x_expanded = _best_matching(joint2)
     if x_expanded.pairs != x_star.pairs:
         p2_c, p2_p = certified_duals(joint2, x_expanded)
-        outcome = _outcome_from_duals(ucb2, x_expanded.pairs, p2_c, p2_p, cust, prov, n_c, n_p)
+        outcome = _outcome_from_duals(ucb2, x_expanded, p2_c, p2_p, arrivals, n_c, n_p)
         return outcome, {"branch": "expanded", "gap": gap}
 
     # Perturbed utilities: matched-edge entries reduced by gap/|A| per side,
     # so only the matched entries of the joint weights change.
-    shave = gap / n_arrived
+    shave = gap / (len(cust) + len(prov))
     joint_prime = joint.copy()
     for i, j in x_star.pairs:
         joint_prime[i, j] = (ucb.customer_values[i, j] - shave) + (ucb.provider_values[j, i] - shave)
@@ -149,7 +149,7 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     for i, j in x_star.pairs:
         p_c[i] += shave
         p_p[j] += shave
-    outcome = _outcome_from_duals(ucb, x_star.pairs, p_c, p_p, cust, prov, n_c, n_p)
+    outcome = _outcome_from_duals(ucb, x_star, p_c, p_p, arrivals, n_c, n_p)
     return outcome, {"branch": "robust", "gap": gap}
 
 

@@ -52,7 +52,14 @@ class TestInit:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("ucb_scale", math.nan), ("lin_beta_d_coeff", math.inf), ("lin_beta_log_coeff", -1.0), ("lin_ridge", 0.0)],
+        [
+            ("ucb_scale", math.nan),
+            ("ucb_scale", -1.0),
+            ("lin_beta_d_coeff", math.inf),
+            ("lin_beta_log_coeff", -1.0),
+            ("lin_ridge", 0.0),
+            ("lin_ridge", 1e-308),
+        ],
     )
     def test_constant_that_would_make_intervals_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,8 @@ from smbandits.market import (
     MarketOutcome,
     UtilityMatrix,
     _duals_for_matching,
+    assignment_with_duals,
+    certified_duals,
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
@@ -116,6 +119,41 @@ class TestDualCertificate:
         # A positive edge left between two unmatched agents.
         with pytest.raises(UncertifiedDuals):
             _duals_for_matching(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0]), np.array([0]))
+
+
+def dual_pass_corpus():
+    """Seeded joints for the dual pass: random, integer tie-heavy and
+    zero-heavy (signed zeros included) at every shape from 1x1 to 12x12,
+    plus one 4x360."""
+    rng = np.random.default_rng(1729)
+    joints = []
+    for n_c, n_p in itertools.product(range(1, 13), repeat=2):
+        joints.append(rng.uniform(-1.0, 1.0, (n_c, n_p)))
+        joints.append(rng.integers(-2, 3, (n_c, n_p)).astype(float))
+        zeros = rng.choice(np.array([0.0, -0.0, 0.5, 1.0, -0.25]), (n_c, n_p), p=[0.4, 0.3, 0.1, 0.1, 0.1])
+        joints.append(zeros)
+    joints.append(rng.uniform(-0.5, 1.0, (4, 360)))
+    return joints
+
+
+# sha256 of every corpus joint's assignment_with_duals (pairs, p_c bytes,
+# p_p bytes) and certified_duals of the same matching. Price bytes, signed
+# zeros included, enter every trace digest through the transfers, so a
+# change to the dual pass that moves one bit fails here in seconds.
+DUAL_PASS_DIGEST = "999d7c04d988429b78a562e029b861169d60ae232dd1cd6a45fd1b5838322d35"
+
+
+def test_dual_pass_bytes_pinned():
+    h = hashlib.sha256()
+    for joint in dual_pass_corpus():
+        pairs, p_c, p_p = assignment_with_duals(joint)
+        h.update(repr(pairs).encode())
+        h.update(p_c.tobytes())
+        h.update(p_p.tobytes())
+        c_c, c_p = certified_duals(joint, Matching._from_disjoint(tuple(pairs)))
+        h.update(c_c.tobytes())
+        h.update(c_p.tobytes())
+    assert h.hexdigest() == DUAL_PASS_DIGEST
 
 
 class TestSecondBest:

@@ -100,7 +100,7 @@ def ref_compute_match(conf, arrivals):
     cust, prov = arrivals
     sub = conf.ucb_matrix().restrict(cust, prov)
     pairs, p_c, p_p = ref_assignment_with_duals(sub.joint())
-    return _outcome_from_duals(sub, pairs, p_c, p_p, cust, prov, conf.num_customers, conf.num_providers)
+    return _outcome_from_duals(sub, Matching(pairs), p_c, p_p, arrivals, conf.num_customers, conf.num_providers)
 
 
 def ref_compute_match_prime(conf, arrivals):
@@ -139,9 +139,9 @@ def ref_compute_match_prime(conf, arrivals):
     pairs2, p2_c, p2_p = ref_assignment_with_duals(ucb2.joint())
 
     if set(pairs2) != set(x_star.pairs):
-        outcome = _outcome_from_duals(ucb2, pairs2, p2_c, p2_p, cust, prov, n_c, n_p)
+        outcome = _outcome_from_duals(ucb2, Matching(pairs2), p2_c, p2_p, arrivals, n_c, n_p)
         return outcome, {"branch": "expanded", "gap": gap}
-    outcome = _outcome_from_duals(ucb, x_star.pairs, p_c, p_p, cust, prov, n_c, n_p)
+    outcome = _outcome_from_duals(ucb, x_star, p_c, p_p, arrivals, n_c, n_p)
     return outcome, {"branch": "robust", "gap": gap}
 
 
@@ -270,7 +270,8 @@ def test_one_dual_pass_per_call(monkeypatch):
 
 def test_fallback_reads_upper_bounds_once(monkeypatch):
     # Fresh sets tie every matching, so the call falls back; it plays the
-    # optimistic outcome from the bounds it read for the gap.
+    # optimistic outcome from the bounds it read for the gap, and on full
+    # arrivals it reads them in place, without a copy.
     calls = []
     ucb_matrix = UnstructuredConfidence.ucb_matrix
 
@@ -282,5 +283,5 @@ def test_fallback_reads_upper_bounds_once(monkeypatch):
     conf = UnstructuredConfidence(3, 3)
     outcome, info = compute_match_prime(conf, all_arrivals(3, 3))
     assert info == {"branch": "fallback", "gap": 0.0}
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert len(outcome.matching.pairs) == 3
