@@ -92,6 +92,9 @@ class ConfidenceSets:
         self.hi_c, self.hi_p = self._blocks(self.hi)
         self.written: np.ndarray | None = None
         self._placed: tuple[Matching | None, np.ndarray | None] = (None, None)
+        # Both buffer positions of every pair (i, j): i * nJ + j and nI * nJ + j * nI + i.
+        c, p = self._blocks(np.arange(self.lo.size))
+        self._pair_positions = np.stack((c, p.T), 2)
 
     def _blocks(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The customer-side and provider-side matrices viewing ``buffer``."""
@@ -99,12 +102,10 @@ class ConfidenceSets:
         return buffer[: n_c * n_p].reshape(n_c, n_p), buffer[n_c * n_p :].reshape(n_p, n_c)
 
     def _positions(self, matching: Matching) -> np.ndarray:
-        """Buffer positions of the matched cells, customer 0, provider 0, customer 1, ...: pair (i, j)
-        sits at i * nJ + j and nI * nJ + j * nI + i. The last matching's are kept."""
+        """Buffer positions of the matched cells, customer 0, provider 0, customer 1, ...,
+        gathered at the matching's index arrays. The last matching's are kept."""
         if self._placed[0] is not matching:
-            n_c, n_p = self.num_customers, self.num_providers
-            pos = [p for i, j in matching.pairs for p in (i * n_p + j, n_c * n_p + j * n_c + i)]
-            self._placed = matching, np.array(pos, dtype=np.intp)
+            self._placed = matching, self._pair_positions[matching.index_arrays].reshape(-1)
         return self._placed[1]
 
     # -- updates ------------------------------------------------------------

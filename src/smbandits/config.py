@@ -7,7 +7,6 @@ messages point at the offending key path.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from .confidence import ConfidenceConfig
 from .environment import POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
 from .errors import ConfigError
 from .market import UtilityMatrix
+from .policies import _EPSILON_MAX
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +77,7 @@ def _parse_policy(obj: dict, path: str) -> PolicySpec:
         raise ConfigError(f"{path}.{exc}") from exc
     epsilon = float(obj.get("epsilon", 0.3))
     if kind == "revenue_frictions":
-        _require(0 < epsilon < math.inf, f"{path}.epsilon", "must be positive and finite")
+        _require(0 < epsilon <= _EPSILON_MAX, f"{path}.epsilon", f"must lie in (0, {_EPSILON_MAX:g}]")
     return PolicySpec(
         kind=kind,
         confidence=conf,

@@ -345,7 +345,7 @@ def run(
     outside = None  # per buffer cell, whether its interval misses the truth; None when not known
 
     def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-        return _observe(truth, matching, instance.noise, noise_rng)
+        return _observe(values, policy.conf._positions(matching), instance.noise, noise_rng)
 
     for t in range(horizon):
         cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
@@ -424,43 +424,35 @@ def _draw_arrivals(
 
 
 def _observe(
-    truth: UtilityMatrix, matching: Matching, noise: NoiseSpec, rng: np.random.Generator
+    values: np.ndarray, pos: np.ndarray, noise: NoiseSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy rewards (customer side, provider side), aligned with ``matching.pairs``.
-
-    Draws are interleaved customer, provider per pair, in pair order.
-    """
-    if not matching.pairs:
+    """Noisy rewards (customer side, provider side), aligned with a matching's pairs, of the true
+    utilities ``values``, laid out like ``conf.lo``, at the pairs' buffer positions ``pos``:
+    customer 0, provider 0, customer 1, ..., which is also the order of the draws."""
+    if not len(pos):
         return np.empty(0), np.empty(0)
-    ci, pj = matching.index_arrays
-    means = np.empty(2 * len(ci))
-    means[0::2] = truth.customer_values[ci, pj]
-    means[1::2] = truth.provider_values[pj, ci]
+    means = values[pos]
     if noise.kind == "gaussian":
-        values = means + noise.sigma * rng.standard_normal(means.size)
+        draws = means + noise.sigma * rng.standard_normal(means.size)
     elif noise.kind == "bernoulli":
         if means.min() < 0.0 or means.max() > 1.0:
             raise ConfigError("bernoulli feedback needs utilities in [0, 1]")
-        values = (rng.random(means.size) < means).astype(float)
+        draws = (rng.random(means.size) < means).astype(float)
     else:
         raise ConfigError(f"unknown noise kind {noise.kind!r}")
-    return values[0::2], values[1::2]
+    return draws[0::2], draws[1::2]
 
 
 def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray) -> MarketOutcome:
-    """Reindex an outcome onto the arrival submarket."""
-    if lists_all_in_order(cust, len(outcome.customer_transfers)) and lists_all_in_order(
-        prov, len(outcome.provider_transfers)
-    ):
+    """Reindex an outcome onto the arrival submarket, which holds its matched agents."""
+    n_c, n_p = len(outcome.customer_transfers), len(outcome.provider_transfers)
+    if lists_all_in_order(cust, n_c) and lists_all_in_order(prov, n_p):
         return outcome
-    c_pos = {g: k for k, g in enumerate(cust.tolist())}
-    p_pos = {g: k for k, g in enumerate(prov.tolist())}
-    pairs = tuple([(c_pos[i], p_pos[j]) for i, j in outcome.matching.pairs])
-    return MarketOutcome(
-        Matching._from_disjoint(pairs),
-        outcome.customer_transfers[cust],
-        outcome.provider_transfers[prov],
-    )
+    c_pos, p_pos = np.empty(n_c, dtype=np.intp), np.empty(n_p, dtype=np.intp)
+    c_pos[cust], p_pos[prov] = np.arange(len(cust)), np.arange(len(prov))
+    ci, pj = outcome.matching.index_arrays
+    sub = Matching._from_arrays(c_pos[ci], p_pos[pj])
+    return MarketOutcome(sub, outcome.customer_transfers[cust], outcome.provider_transfers[prov])
 
 
 # --------------------------------------------------------------------------

@@ -128,11 +128,10 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     """
     _, _, g, f, h = _payoffs_and_gains(u, outcome)
     n_c = u.num_customers
-    pairs, t_c, t_p = assignment_with_duals(h)
-    rows, cols = Matching._from_disjoint(tuple(pairs)).index_arrays
+    rows, cols, t_c, t_p = assignment_with_duals(h)
     value = _instability_value(g, f, rows, cols)
 
-    blocking = {(i, j) for i, j in pairs if g[i, j] > TOL}
+    blocking = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if g[i, j] > TOL}
     unmatched = np.ones(len(f), dtype=bool)
     unmatched[rows] = False
     unmatched[n_c + cols] = False
@@ -168,7 +167,7 @@ def max_unhappiness_coalition(u: UtilityMatrix, outcome: MarketOutcome) -> tuple
 def utility_difference(u: UtilityMatrix, outcome: MarketOutcome) -> float:
     """Total utility of the best matching minus that of the outcome's matching."""
     joint = u.joint()
-    best = Matching._from_disjoint(tuple(assignment_pairs(joint)))
+    best = Matching._from_arrays(*assignment_pairs(joint))
     return best.weight(joint) - outcome.matching.weight(joint)
 
 

@@ -146,16 +146,21 @@ class Matching:
         object.__setattr__(self, "pairs", normalized)
 
     @classmethod
-    def _from_disjoint(cls, pairs: tuple[tuple[int, int], ...]) -> Matching:
-        """A matching of int pairs disjoint by construction: solver output, or
-        solver output lifted through arrival indices. Kept as given when
-        sorted, as solver output and increasing arrivals keep it, else sorted
-        by the checked constructor."""
-        if all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])):
-            m = _new(cls)
-            m.__dict__["pairs"] = pairs
-            return m
-        return cls(pairs)
+    def _from_arrays(cls, rows: np.ndarray, cols: np.ndarray) -> Matching:
+        """A matching of index arrays disjoint by construction: solver output,
+        or solver output lifted through arrival indices. They become its
+        read-only ``index_arrays``, reordered by customer unless, as solver
+        output and increasing arrivals keep them, they already are."""
+        r = rows.tolist()
+        if r != sorted(r):
+            order = rows.argsort()
+            rows, cols = rows[order], cols[order]
+            r = rows.tolist()
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        m = _new(cls)
+        m.__dict__.update(pairs=tuple(zip(r, cols.tolist())), index_arrays=(rows, cols))
+        return m
 
     def __iter__(self):
         return iter(self.pairs)
@@ -242,28 +247,28 @@ def _positive_assignment(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return w, rows[keep], cols[keep]
 
 
-def assignment_pairs(joint: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-weight bipartite matching; agents may stay unmatched at zero.
+def assignment_pairs(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-weight bipartite matching as matched rows and cols, rows
+    increasing; agents may stay unmatched at zero.
 
     One rectangular solve on the clipped weights. Edges with weight <= 0 are
     never used.
     """
-    _, rows, cols = _positive_assignment(joint)
-    return list(zip(rows.tolist(), cols.tolist()))
+    return _positive_assignment(joint)[1:]
 
 
-def assignment_with_duals(joint: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+def assignment_with_duals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maximum-weight bipartite matching with dual prices.
 
     ``joint[i, j]`` is the weight of matching customer ``i`` with provider
     ``j``; agents may stay unmatched at weight zero, so edges with weight <= 0
-    are never used. Returns the matched pairs and per-side dual prices ``p``
-    with ``p >= 0``, ``p_i + p_j >= max(joint[i, j], 0)`` for all pairs,
-    equality on matched pairs, and ``p = 0`` on unmatched agents.
+    are never used. Returns the matched rows and cols, as
+    :func:`assignment_pairs` does, and per-side dual prices ``p`` with
+    ``p >= 0``, ``p_i + p_j >= max(joint[i, j], 0)`` for all pairs, equality
+    on matched pairs, and ``p = 0`` on unmatched agents.
     """
     w, rows, cols = _positive_assignment(joint)
-    p_c, p_p = _duals_for_matching(w, rows, cols)
-    return list(zip(rows.tolist(), cols.tolist())), p_c, p_p
+    return (rows, cols, *_duals_for_matching(w, rows, cols))
 
 
 def certified_duals(joint: np.ndarray, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +343,8 @@ def max_weight_matching_with_duals(u: UtilityMatrix) -> tuple[Matching, tuple[np
     The prices are nonnegative, feasible for the assignment dual,
     complementary slack with the returned matching, and sum to its weight.
     """
-    pairs, p_c, p_p = assignment_with_duals(u.joint())
-    return Matching._from_disjoint(tuple(pairs)), (p_c, p_p)
+    rows, cols, p_c, p_p = assignment_with_duals(u.joint())
+    return Matching._from_arrays(rows, cols), (p_c, p_p)
 
 
 def stable_outcome_from_duals(
@@ -347,11 +352,10 @@ def stable_outcome_from_duals(
 ) -> MarketOutcome:
     """Transfers tau_a = p_a - u_a(mu(a)) from prices ``(p_c, p_p)``; stable
     whenever (matching, prices) is optimal."""
-    tau_c = prices[0].copy()
-    tau_p = prices[1].copy()
-    for i, j in matching.pairs:
-        tau_c[i] -= u.customer_values[i, j]
-        tau_p[j] -= u.provider_values[j, i]
+    ci, pj = matching.index_arrays
+    tau_c, tau_p = prices[0].copy(), prices[1].copy()
+    tau_c[ci] -= u.customer_values[ci, pj]
+    tau_p[pj] -= u.provider_values[pj, ci]
     return MarketOutcome(matching, tau_c, tau_p)
 
 
@@ -376,7 +380,7 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
     for edge in best.pairs:
         modified = joint.copy()
         modified[edge] = _FORBIDDEN
-        m = Matching._from_disjoint(tuple(assignment_pairs(modified)))
+        m = Matching._from_arrays(*assignment_pairs(modified))
         candidates.append((m.weight(joint), m))
 
     matched_c = {i for i, _ in best.pairs}
@@ -398,18 +402,18 @@ def second_best_matching(u: UtilityMatrix, best: Matching) -> tuple[Matching, fl
 def _matching_table(n_c: int, n_p: int) -> tuple[tuple[Matching, ...], np.ndarray]:
     """Every matching of an n_c x n_p market, the empty one included, and
     their 0/1 incidence matrix over the row-major cells."""
-    pairs = [
-        tuple(zip(rows, cols))
+    matchings = tuple(
+        Matching._from_arrays(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
         for k in range(min(n_c, n_p) + 1)
         for rows in itertools.combinations(range(n_c), k)
         for cols in itertools.permutations(range(n_p), k)
-    ]
-    incidence = np.zeros((len(pairs), n_c * n_p))
-    for m, matching in enumerate(pairs):
-        for i, j in matching:
-            incidence[m, i * n_p + j] = 1.0
+    )
+    incidence = np.zeros((len(matchings), n_c * n_p))
+    for m, matching in enumerate(matchings):
+        ci, pj = matching.index_arrays
+        incidence[m, ci * n_p + pj] = 1.0
     incidence.flags.writeable = False
-    return tuple(Matching._from_disjoint(p) for p in pairs), incidence
+    return matchings, incidence
 
 
 def heaviest_matchings(joint: np.ndarray, count: int) -> tuple[list[Matching | None], list[float], float] | None:

@@ -31,6 +31,10 @@ from .market import (
 
 Arrivals = tuple[np.ndarray, np.ndarray]  # (customer indices, provider indices), each sorted and distinct
 
+# A round's revenue is at most eps + 5 per agent (|tau| <= 3 plus a refund <= 2) and a sweep sums at most 2e7 rounds,
+# so below this bound every revenue sum, and 2 * eps in the eps-stability test, stays finite under 9e10 agents.
+_EPSILON_MAX = 1e290
+
 
 def all_arrivals(num_customers: int, num_providers: int) -> Arrivals:
     return np.arange(num_customers), np.arange(num_providers)
@@ -39,19 +43,19 @@ def all_arrivals(num_customers: int, num_providers: int) -> Arrivals:
 def _outcome_from_duals(
     ucb: UtilityMatrix, local: Matching, p_c: np.ndarray, p_p: np.ndarray, arrivals: Arrivals, n_c: int, n_p: int
 ) -> MarketOutcome:
-    """Global-index outcome with transfers tau_a = p_a - ucb_a(mu(a)); its matching
-    is ``local`` itself when the lift through the arrivals keeps every pair."""
+    """Global-index outcome with transfers tau_a = p_a - ucb_a(mu(a)), from
+    prices 0 on unmatched agents. On full arrivals the transfers are written
+    into ``p_c`` and ``p_p`` and the matching is ``local`` itself."""
     cust, prov = arrivals
-    tau_c = np.zeros(n_c)
-    tau_p = np.zeros(n_p)
-    lifted = []
-    for (li, lj) in local.pairs:
-        gi, gj = int(cust[li]), int(prov[lj])
-        tau_c[gi] = p_c[li] - ucb.customer_values[li, lj]
-        tau_p[gj] = p_p[lj] - ucb.provider_values[lj, li]
-        lifted.append((gi, gj))
-    lifted = tuple(lifted)
-    return MarketOutcome(local if lifted == local.pairs else Matching._from_disjoint(lifted), tau_c, tau_p)
+    li, lj = local.index_arrays
+    p_c[li] -= ucb.customer_values[li, lj]
+    p_p[lj] -= ucb.provider_values[lj, li]
+    if lists_all_in_order(cust, n_c) and lists_all_in_order(prov, n_p):
+        return MarketOutcome(local, p_c, p_p)
+    gi, gj = cust[li], prov[lj]
+    tau_c, tau_p = np.zeros(n_c), np.zeros(n_p)
+    tau_c[gi], tau_p[gj] = p_c[li], p_p[lj]
+    return MarketOutcome(Matching._from_arrays(gi, gj), tau_c, tau_p)
 
 
 def _optimistic_outcome(
@@ -59,8 +63,8 @@ def _optimistic_outcome(
 ) -> MarketOutcome:
     """The outcome stable for ``ucb``, the upper bounds restricted to the
     arrivals, whose joint weights are ``joint``."""
-    pairs, p_c, p_p = assignment_with_duals(joint)
-    local = Matching._from_disjoint(tuple(pairs))
+    rows, cols, p_c, p_p = assignment_with_duals(joint)
+    local = Matching._from_arrays(rows, cols)
     return _outcome_from_duals(ucb, local, p_c, p_p, arrivals, conf.num_customers, conf.num_providers)
 
 
@@ -93,7 +97,7 @@ def _best_and_gap(ucb: UtilityMatrix, joint: np.ndarray) -> tuple[Matching | Non
             return None, 0.0
         if w1 - w2 > TOL + band and w2 - w3 > band:
             return best, best.weight(joint) - second.weight(joint)
-    best = Matching._from_disjoint(tuple(assignment_pairs(joint)))
+    best = Matching._from_arrays(*assignment_pairs(joint))
     return best, best.weight(joint) - second_best_matching(ucb, best)[1]
 
 
@@ -105,7 +109,7 @@ def _best_matching(joint: np.ndarray) -> Matching:
         (best, _), (w1, w2), band = ranked
         if w1 - w2 > band:
             return best
-    return Matching._from_disjoint(tuple(assignment_pairs(joint)))
+    return Matching._from_arrays(*assignment_pairs(joint))
 
 
 def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[MarketOutcome, dict]:
@@ -145,7 +149,7 @@ def compute_match_prime(conf: ConfidenceSets, arrivals: Arrivals) -> tuple[Marke
     joint_prime = joint.copy()
     for i, j in x_star.pairs:
         joint_prime[i, j] = (ucb.customer_values[i, j] - shave) + (ucb.provider_values[j, i] - shave)
-    _, p_c, p_p = assignment_with_duals(joint_prime)
+    _, _, p_c, p_p = assignment_with_duals(joint_prime)
     for i, j in x_star.pairs:
         p_c[i] += shave
         p_p[j] += shave
@@ -190,8 +194,7 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
                 free.insert(0, current)
                 break
         # Exhausted list: customer stays unmatched.
-    cl, pl = cust.tolist(), prov.tolist()
-    return Matching._from_disjoint(tuple(sorted([(cl[i], pl[j]) for j, i in holder.items()])))
+    return Matching._from_arrays(cust[list(holder.values())], prov[list(holder)])
 
 
 def _ntu_outcome(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
@@ -370,8 +373,8 @@ class RevenueFrictionsPolicy(Policy):
     compatible_sets = (UnstructuredConfidence,)
 
     def __init__(self, conf: ConfidenceSets, horizon: int, epsilon: float) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon <= _EPSILON_MAX:
+            raise ValueError(f"epsilon must lie in (0, {_EPSILON_MAX:g}]")
         super().__init__(conf, horizon)
         self.epsilon = epsilon
 

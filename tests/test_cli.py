@@ -117,6 +117,7 @@ class TestConfigParsing:
             ({"policy": {"kind": "match_ucb", "lin_ridge": 0}}, r"config\.policy\.lin_ridge"),
             ({"policy": {"kind": "match_ucb", "lin_beta_log_coeff": -1.0}}, r"config\.policy\.lin_beta_log_coeff"),
             ({"policy": {"kind": "revenue_frictions", "epsilon": float("inf")}}, r"config\.policy\.epsilon"),
+            ({"policy": {"kind": "revenue_frictions", "epsilon": 1e308}}, r"config\.policy\.epsilon"),
             ({"policy": {"kind": "match_lin_ucb"}}, r"config\.class: match_lin_ucb needs class=linear"),
             # The policy kind picks the NTU metric and the eps judgement.
             ({"ntu": True}, r"config: unknown keys \['ntu'\]"),
@@ -150,6 +151,7 @@ class TestConfigParsing:
             "lin_ridge_zero",
             "lin_beta_negative",
             "epsilon_infinite",
+            "epsilon_overflowing",
             "linear_sets_need_linear_class",
             "ntu_key",
             "stability_eps_key",

@@ -159,6 +159,9 @@ def assert_parse_error_or_runs(cfg):
     sweep([dataclasses.replace(cell, horizon=3, seeds=cell.seeds[:2])])
 
 
+# An accepted config must also run without overflow: a sum that reaches inf
+# warns, and the warning fails the test.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_single_edit():
     edits = 0
     for base in VALID_CONFIGS:
@@ -178,10 +181,20 @@ def test_every_single_edit():
     assert edits > 3000
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(mutants())
 def test_random_edits(cfg):
     assert_parse_error_or_runs(cfg)
+
+
+def test_fee_beyond_the_epsilon_bound_rejected():
+    # The single edit that first failed with overflow as an error: epsilon
+    # 1e308 parsed, and every round's revenue summed to inf.
+    cfg = copy.deepcopy(VALID_CONFIGS[3])
+    cfg["policy"]["epsilon"] = 1e308
+    with pytest.raises(ConfigError, match=r"^config\.policy\.epsilon"):
+        parse_config(cfg)
 
 
 def test_gaussian_noise_beyond_the_sigma_bound_rejected():

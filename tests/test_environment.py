@@ -206,6 +206,13 @@ class TestRunLoop:
                 assert (i,) == schedule[t % 2][0] and (j,) == schedule[t % 2][1]
 
 
+def observe(truth, matching, noise, rng):
+    """One round's feedback on ``matching``, read at the buffer positions of its sets."""
+    values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
+    conf = UnstructuredConfidence(truth.num_customers, truth.num_providers)
+    return _observe(values, conf._positions(matching), noise, rng)
+
+
 class TestNoise:
     def test_gaussian_mean_converges(self):
         truth = UtilityMatrix(np.array([[0.37]]), np.array([[-0.21]]))
@@ -213,7 +220,7 @@ class TestNoise:
         m = Matching([(0, 0)])
         n = 4000
         vals_c = [
-            _observe(truth, m, NoiseSpec(), rng)[0][0]
+            observe(truth, m, NoiseSpec(), rng)[0][0]
             for _ in range(n)
         ]
         assert abs(np.mean(vals_c) - 0.37) < 3.0 / math.sqrt(n)
@@ -222,13 +229,13 @@ class TestNoise:
         truth = UtilityMatrix(np.array([[-0.2]]), np.array([[0.4]]))
         rng = stream_rng(6, 2)
         with pytest.raises(ConfigError):
-            _observe(truth, Matching([(0, 0)]), NoiseSpec(kind="bernoulli"), rng)
+            observe(truth, Matching([(0, 0)]), NoiseSpec(kind="bernoulli"), rng)
 
     def test_bernoulli_mean_converges(self):
         inst = gen_hard_instance(2, 100, seed=7)
         rng = stream_rng(7, 2)
         m = Matching([(0, 0)])
-        vals = [float(_observe(inst.truth, m, inst.noise, rng)[0][0]) for _ in range(3000)]
+        vals = [float(observe(inst.truth, m, inst.noise, rng)[0][0]) for _ in range(3000)]
         assert set(vals) <= {0.0, 1.0}
         target = inst.truth.customer_values[0, 0]
         assert abs(np.mean(vals) - target) < 3.0 * 0.5 / math.sqrt(3000)

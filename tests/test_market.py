@@ -146,11 +146,11 @@ DUAL_PASS_DIGEST = "999d7c04d988429b78a562e029b861169d60ae232dd1cd6a45fd1b583832
 def test_dual_pass_bytes_pinned():
     h = hashlib.sha256()
     for joint in dual_pass_corpus():
-        pairs, p_c, p_p = assignment_with_duals(joint)
-        h.update(repr(pairs).encode())
+        rows, cols, p_c, p_p = assignment_with_duals(joint)
+        h.update(repr(list(zip(rows.tolist(), cols.tolist()))).encode())
         h.update(p_c.tobytes())
         h.update(p_p.tobytes())
-        c_c, c_p = certified_duals(joint, Matching._from_disjoint(tuple(pairs)))
+        c_c, c_p = certified_duals(joint, Matching._from_arrays(rows, cols))
         h.update(c_c.tobytes())
         h.update(c_p.tobytes())
     assert h.hexdigest() == DUAL_PASS_DIGEST

@@ -100,8 +100,8 @@ def _subsidy_lp(u: UtilityMatrix, q_c: np.ndarray, q_p: np.ndarray) -> float:
 def test_assignment_weight_matches_networkx(name):
     u = MARKETS[name]()
     joint = u.joint()
-    pairs = assignment_pairs(joint)
-    weight = sum(joint[i, j] for i, j in pairs)
+    rows, cols = assignment_pairs(joint)
+    weight = sum(joint[i, j] for i, j in zip(rows, cols))
     assert weight == pytest.approx(_networkx_weight(joint), abs=TOL)
 
 

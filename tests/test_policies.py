@@ -339,3 +339,10 @@ class TestRevenueFrictions:
         conf = UnstructuredConfidence(2, 2)
         with pytest.raises(ValueError):
             RevenueFrictionsPolicy(conf, horizon=10, epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1e300])
+    def test_rejects_non_finite_and_overflowing_epsilon(self, epsilon):
+        # nan <= 0 is false, so a bare positivity test let nan through.
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            RevenueFrictionsPolicy(UnstructuredConfidence(2, 2), horizon=10, epsilon=epsilon)
+        assert RevenueFrictionsPolicy(UnstructuredConfidence(2, 2), horizon=10, epsilon=1e290).epsilon == 1e290
