@@ -37,17 +37,13 @@ from .instability import (
     utility_difference,
 )
 from .market import (
-    AgentId,
     Matching,
     MarketOutcome,
-    Side,
     UtilityMatrix,
-    customer,
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
     payoff_inequalities_hold,
-    provider,
     second_best_matching,
 )
 from .policies import (

@@ -195,7 +195,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         # coalition unhappiness, the witness its coalition, and the subsidies
         # the minimum stabilizing ones.
         report = subset_instability(truth, outcome)
-        witness = sorted(repr(a) for a in report.witness_subset)
+        wc, wp = report.witness_subset
+        witness = sorted([f"C{i}" for i in wc.tolist()] + [f"P{j}" for j in wp.tolist()])
         payload = {
             "ntu": False,
             "instability": report.value,
@@ -206,7 +207,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             "max_coalition_unhappiness": report.value,
             "coalition": witness,
             "witness_subset": witness,
-            "blocking_pairs": sorted(list(p) for p in report.blocking_pairs),
+            "blocking_pairs": np.column_stack(report.blocking_pairs).tolist(),
         }
     print(_indented(payload, ""))
     return 0
@@ -298,6 +299,8 @@ def _verify_properties(seed: int, cases: int) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 0:
         raise ConfigError(f"--cases: must be at least 0, got {args.cases}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be at least 0, got {args.seed}")
     failures = _verify_properties(args.seed, args.cases)
     if failures:
         for note in failures:

@@ -192,6 +192,9 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
     seeds = obj["seeds"]
     _require(bool(seeds), f"{path}.seeds", "must be a non-empty list")
     _require(all(_of_type(s, int) for s in seeds), f"{path}.seeds", "entries must be integers")
+    # The RNG keys on a seed's low 64 bits: outside [0, 2**64) two seeds can name one replica.
+    _require(all(0 <= s < 2**64 for s in seeds), f"{path}.seeds", "entries must lie in [0, 2**64)")
+    _require(len(set(seeds)) == len(seeds), f"{path}.seeds", "entries must be distinct")
     for key in ("num_types", "dim"):
         _require(obj.get(key, 1) >= 1, f"{path}.{key}", "must be at least 1")
     policy = _parse_policy(obj["policy"], f"{path}.policy")

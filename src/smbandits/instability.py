@@ -24,7 +24,6 @@ from scipy.optimize import linear_sum_assignment
 from .errors import TooLarge
 from .market import (
     TOL,
-    AgentId,
     Matching,
     MarketOutcome,
     UtilityMatrix,
@@ -32,9 +31,7 @@ from .market import (
     _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
-    customer,
     ntu_gains,
-    provider,
 )
 
 _BRUTE_FORCE_MAX_AGENTS = 12
@@ -44,14 +41,15 @@ _NTU_BRUTE_MAX_SIDE = 6
 
 @dataclass(frozen=True)
 class InstabilityReport:
-    """Value of the instability metric together with all three witnesses."""
+    """Value of the instability metric together with all three witnesses. The coalition
+    ``witness_subset`` is two sorted index arrays (customers, providers); ``blocking_pairs``
+    holds the solver's blocking pairs as (rows, cols), rows increasing."""
 
     value: float
-    witness_subset: frozenset[AgentId]
+    witness_subset: tuple[np.ndarray, np.ndarray]
     subsidies_customers: np.ndarray
     subsidies_providers: np.ndarray
-    blocking_pairs: frozenset[tuple[int, int]]
-    ir_violations: frozenset[AgentId]
+    blocking_pairs: tuple[np.ndarray, np.ndarray]
 
     def subsidy_total(self) -> float:
         return float(self.subsidies_customers.sum() + self.subsidies_providers.sum())
@@ -131,24 +129,17 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     rows, cols, t_c, t_p = assignment_with_duals(h)
     value = _instability_value(g, f, rows, cols)
 
-    blocking = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if g[i, j] > TOL}
-    unmatched = np.ones(len(f), dtype=bool)
-    unmatched[rows] = False
-    unmatched[n_c + cols] = False
-    ir = {customer(a) if a < n_c else provider(a - n_c) for a in np.flatnonzero(unmatched & (f > TOL)).tolist()}
-
-    witness: set[AgentId] = set(ir)
-    for i, j in blocking:
-        witness.add(customer(i))
-        witness.add(provider(j))
+    blocks = g[rows, cols] > TOL
+    member = f > TOL
+    member[rows] = blocks
+    member[n_c + cols] = blocks
 
     return InstabilityReport(
         value=value,
-        witness_subset=frozenset(witness),
+        witness_subset=(np.flatnonzero(member[:n_c]), np.flatnonzero(member[n_c:])),
         subsidies_customers=f[:n_c] + t_c,
         subsidies_providers=f[n_c:] + t_p,
-        blocking_pairs=frozenset(blocking),
-        ir_violations=frozenset(ir),
+        blocking_pairs=(rows[blocks], cols[blocks]),
     )
 
 
@@ -158,8 +149,9 @@ def min_stabilizing_subsidy(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[f
     return report.subsidy_total(), report.subsidies_customers, report.subsidies_providers
 
 
-def max_unhappiness_coalition(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, frozenset[AgentId]]:
-    """Largest joint gain a coalition can secure without hurting any member."""
+def max_unhappiness_coalition(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Largest joint gain a coalition can secure without hurting any member,
+    with the coalition as sorted customer and provider index arrays."""
     report = subset_instability(u, outcome)
     return report.value, report.witness_subset
 

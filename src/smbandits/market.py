@@ -8,7 +8,6 @@ which is exactly the primal-dual pair that characterizes stable outcomes.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -52,28 +51,6 @@ def _arange_bytes(n: int) -> bytes:
 def lists_all_in_order(idx: np.ndarray, n: int) -> bool:
     """Whether the index array ``idx`` is exactly 0, 1, ..., n - 1."""
     return len(idx) == n and idx.tobytes() == _arange_bytes(n)
-
-
-class Side(enum.Enum):
-    CUSTOMER = "customer"
-    PROVIDER = "provider"
-
-
-@dataclass(frozen=True)
-class AgentId:
-    side: Side
-    index: int
-
-    def __repr__(self) -> str:
-        return f"{'C' if self.side is Side.CUSTOMER else 'P'}{self.index}"
-
-
-def customer(i: int) -> AgentId:
-    return AgentId(Side.CUSTOMER, i)
-
-
-def provider(j: int) -> AgentId:
-    return AgentId(Side.PROVIDER, j)
 
 
 @dataclass(frozen=True)

@@ -352,9 +352,7 @@ class EtcPolicy(Policy):
                 self.explored[i, j] += 1
         self._offset = (self._offset + 1) % modulus
         matching = Matching(pairs)
-        outcome = MarketOutcome(
-            matching, np.zeros(self.conf.num_customers), np.zeros(self.conf.num_providers)
-        )
+        outcome = MarketOutcome.ntu(matching, self.conf.num_customers, self.conf.num_providers)
         w = self.conf.width_sum(matching)
         return RoundDecision(outcome, w, w, 0.0)
 

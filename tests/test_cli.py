@@ -126,6 +126,10 @@ class TestConfigParsing:
             ({"customers": True}, r"config\.customers"),
             ({"horizon": True}, r"config\.horizon"),
             ({"seeds": [True, False]}, r"config\.seeds"),
+            # The random streams key on a seed's low 64 bits: 0 and 2**64 are one replica.
+            ({"seeds": [0, 0]}, r"config\.seeds: entries must be distinct"),
+            ({"seeds": [0, 2**64]}, r"config\.seeds: entries must lie in"),
+            ({"seeds": [-1]}, r"config\.seeds: entries must lie in"),
             ({"schema_version": True}, r"config\.schema_version"),
             ({"policy": {"kind": "match_ucb", "ucb_scale": True}}, r"config\.policy\.ucb_scale"),
             ({"policy": {"kind": "etc", "etc_pulls_per_pair": False}}, r"config\.policy\.etc_pulls_per_pair"),
@@ -158,6 +162,9 @@ class TestConfigParsing:
             "customers_bool",
             "horizon_bool",
             "seeds_bool",
+            "seeds_repeated",
+            "seeds_beyond_64_bits",
+            "seeds_negative",
             "schema_version_bool",
             "ucb_scale_bool",
             "etc_pulls_bool",
@@ -327,6 +334,20 @@ class TestScoreCommand:
         assert data["instability"] == 0.0
         assert data["coalition"] == []
 
+    def test_witness_in_string_order_on_both_sides(self, tmp_path, capsys):
+        # The pair (i, i + 1 mod 12) is worth 2 and every other pair -2; nobody
+        # is matched, so all twelve pairs block and every agent is in the witness.
+        shift = np.roll(np.eye(12), 1, axis=1)
+        cv = 2.0 * shift - 1.0
+        inst = write_json(tmp_path / "inst.json", {"customer_values": cv.tolist(), "provider_values": cv.T.tolist()})
+        outc = write_json(tmp_path / "outc.json", {"matching": []})
+        assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["instability"] == 24.0
+        order = ["0", "1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"]
+        assert data["coalition"] == data["witness_subset"] == [f"C{k}" for k in order] + [f"P{k}" for k in order]
+        assert data["blocking_pairs"] == [[i, (i + 1) % 12] for i in range(12)]
+
     def test_ntu_outcome(self, tmp_path, capsys):
         inst = write_json(
             tmp_path / "inst.json",
@@ -466,6 +487,11 @@ class TestVerifyCommand:
         assert main(["verify", "--cases", "-5"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --cases: must be at least 0, got -5\n")
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed: must be at least 0, got -1\n")
 
 
 _NUMBERS = st.one_of(

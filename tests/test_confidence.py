@@ -10,7 +10,7 @@ from smbandits.confidence import (
     UnstructuredConfidence,
 )
 from smbandits.errors import InvalidContext, ProtocolViolation
-from smbandits.market import Matching, UtilityMatrix, customer, provider
+from smbandits.market import Matching, UtilityMatrix
 
 
 def obs_for(matching: Matching, value: float) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +129,7 @@ class TestUnstructuredUpdate:
         conf = UnstructuredConfidence(2, 2)
         m = Matching([(0, 0), (1, 1)])
         r_c, r_p = obs_for(m, 0.1)
-        agent_dict = {customer(0): 0.1, provider(0): 0.1, customer(1): 0.1, provider(1): 0.1}
+        agent_dict = {"C0": 0.1, "P0": 0.1, "C1": 0.1, "P1": 0.1}
         for bad in (agent_dict, (r_c, r_p, r_p), np.array([0.1, 0.1]), None):
             with pytest.raises(ProtocolViolation):
                 conf.update(m, bad, horizon=100)

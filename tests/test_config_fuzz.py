@@ -160,8 +160,7 @@ def assert_parse_error_or_runs(cfg):
 
 
 # An accepted config must also run without overflow: a sum that reaches inf
-# warns, and the warning fails the test.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# warns, and pyproject.toml turns every RuntimeWarning into an error.
 def test_every_single_edit():
     edits = 0
     for base in VALID_CONFIGS:
@@ -181,7 +180,6 @@ def test_every_single_edit():
     assert edits > 3000
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(mutants())
 def test_random_edits(cfg):

@@ -19,11 +19,9 @@ from smbandits.market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
-    customer,
     is_stable_ntu,
     is_stable_tu,
     max_weight_matching_with_duals,
-    provider,
     stable_outcome_from_duals,
 )
 
@@ -32,8 +30,8 @@ class TestGoldenExample:
     def test_value_and_witness(self, fig1_market, fig1_bad_outcome):
         report = subset_instability(fig1_market, fig1_bad_outcome)
         assert report.value == pytest.approx(3.0, abs=1e-12)
-        assert report.witness_subset == frozenset({customer(0), provider(0)})
-        assert report.blocking_pairs == frozenset({(0, 0)})
+        assert [a.tolist() for a in report.witness_subset] == [[0], [0]]
+        assert [a.tolist() for a in report.blocking_pairs] == [[0], [0]]
 
     def test_subsidy_total(self, fig1_market, fig1_bad_outcome):
         value, s_c, s_p = min_stabilizing_subsidy(fig1_market, fig1_bad_outcome)
@@ -44,7 +42,7 @@ class TestGoldenExample:
     def test_coalition(self, fig1_market, fig1_bad_outcome):
         value, coalition = max_unhappiness_coalition(fig1_market, fig1_bad_outcome)
         assert value == pytest.approx(3.0, abs=1e-12)
-        assert coalition == frozenset({customer(0), provider(0)})
+        assert [a.tolist() for a in coalition] == [[0], [0]]
 
     def test_utility_difference(self, fig1_market, fig1_bad_outcome):
         assert utility_difference(fig1_market, fig1_bad_outcome) == pytest.approx(2.0, abs=1e-12)
@@ -89,8 +87,7 @@ class TestSubsetInstability:
             u = random_market(rng, 3, 3)
             outcome = random_zero_sum_outcome(rng, u)
             report = subset_instability(u, outcome)
-            wc = np.array(sorted(a.index for a in report.witness_subset if a.side.value == "customer"), dtype=int)
-            wp = np.array(sorted(a.index for a in report.witness_subset if a.side.value == "provider"), dtype=int)
+            wc, wp = report.witness_subset
             sub = u.restrict(wc, wp)
             best_sub, _ = max_weight_matching_with_duals(sub)
             q_c, q_p = outcome.net_payoffs(u)
@@ -188,7 +185,7 @@ class TestCoalition:
         outcome = MarketOutcome(Matching([(0, 0)]), np.array([-6.0]), np.array([6.0, 0.0]))
         value, coalition = max_unhappiness_coalition(fig1_market, outcome)
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert coalition == frozenset()
+        assert [a.tolist() for a in coalition] == [[], []]
 
 
 class TestNtuInstability:
@@ -311,3 +308,14 @@ class TestIdentityProperties:
         assert abs(report.subsidy_total() - value) <= tol
         # The largest gain of any coalition, by literal enumeration of subsets.
         assert abs(subset_instability_bruteforce(u, outcome) - value) <= tol
+        # The witness: distinct sorted indices in range, every blocking pair
+        # inside it, and a coalition whose gain is the value.
+        wc, wp = report.witness_subset
+        for w, n in ((wc, u.num_customers), (wp, u.num_providers)):
+            assert w.dtype == np.intp and (np.diff(w) > 0).all() and ((0 <= w) & (w < n)).all()
+        rows, cols = report.blocking_pairs
+        assert np.isin(rows, wc).all() and np.isin(cols, wp).all()
+        sub = u.restrict(wc, wp)
+        q_c, q_p = outcome.net_payoffs(u)
+        gain = max_weight_matching_with_duals(sub)[0].total_utility(sub) - (q_c[wc].sum() + q_p[wp].sum())
+        assert abs(gain - value) <= tol

@@ -135,8 +135,7 @@ def test_witness_expression_equals_value(name):
     for outcome in _outcomes(u):
         q_c, q_p = outcome.net_payoffs(u)
         report = subset_instability(u, outcome)
-        wc = sorted(a.index for a in report.witness_subset if a.side.value == "customer")
-        wp = sorted(a.index for a in report.witness_subset if a.side.value == "provider")
-        best = _networkx_weight(u.joint()[np.ix_(wc, wp)]) if wc and wp else 0.0
+        wc, wp = report.witness_subset
+        best = _networkx_weight(u.joint()[np.ix_(wc, wp)]) if len(wc) and len(wp) else 0.0
         expression = best - (q_c[wc].sum() + q_p[wp].sum())
         assert expression == pytest.approx(report.value, abs=TOL * max(1.0, report.value))
