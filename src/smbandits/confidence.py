@@ -146,15 +146,10 @@ class ConfidenceSets:
             total += width
         return total
 
-    def outside(self, values: np.ndarray, at: np.ndarray | slice = slice(None), tol: float = 1e-9) -> np.ndarray:
-        """Whether each interval at positions ``at`` misses ``values``, laid out like ``lo``, by over ``tol``."""
-        v = values[at]
-        return ~((self.lo[at] - tol <= v) & (v <= self.hi[at] + tol))
-
     def contains(self, truth: UtilityMatrix, tol: float = 1e-9) -> bool:
         """Whether every interval contains the true utility (diagnostic)."""
         values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
-        return not self.outside(values, tol=tol).any()
+        return bool(((self.lo - tol <= values) & (values <= self.hi + tol)).all())
 
     # -- test/diagnostic helpers ----------------------------------------------
     def collapse_to(self, truth: UtilityMatrix) -> None:

@@ -238,10 +238,11 @@ def read_json(path: str) -> tuple[object, str]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return json.loads(text), text
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    # Unreadable, not UTF-8 (a ValueError), nested too deep, or an integer too long to convert.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str) -> SweepCell:

@@ -18,8 +18,9 @@ from . import policies as pol
 from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
 from .errors import ConfigError, TooLarge
 # subset_instability_value is not called here; perfbench/tracer.py patches this name.
-from .instability import ntu_subset_instability, subset_instability_and_stability, subset_instability_value
+from .instability import ntu_subset_instability, subset_instability_value, tu_judgements
 from .market import (
+    TOL,
     Matching,
     MarketOutcome,
     UtilityMatrix,
@@ -30,6 +31,9 @@ from .market import (
 )
 
 _TOTAL_ROUNDS_GUARD = 20_000_000
+
+# run judges a block of rounds once its gain, snapshot and rewritten cells, plus one per round, reach this count.
+_BLOCK_CELLS = 2**16
 
 _STREAM_ARRIVALS = 1
 _STREAM_NOISE = 2
@@ -309,22 +313,15 @@ def run(
 ) -> RegretTrace:
     """Execute one replica: deterministic in (instance.seed, spec, horizon).
 
-    Every TU round is scored, and judged for exact stability, from one gain
-    matrix of its zero-sum outcome. The NTU policy is scored by the NTU
-    metric and judged by NTU stability; a round too large for the exact NTU
-    solver records the certified width bound instead (``bound_only``). The
-    revenue policy's ``stable_truth`` is then replaced by the eps-stability
-    of its published outcome at its own fee eps, checked every round.
-    ``record_outcomes`` keeps each round's scored outcome on the trace.
-
-    A round whose decision scores the very outcome object of the round
-    before, on bytewise the same arrivals, reuses that round's judgement.
-
-    Inside ``run`` the sets change only through ``update``, once per round,
-    which names the buffer positions it rewrote (``conf.written``): the
-    containment column rechecks only those, or takes a full ``contains``.
+    A round does only what the learner reads: arrivals, ``policy.step`` and the decision's width, bound and
+    revenue. The rest waits for the end of a block of rounds (``_BLOCK_CELLS``): ``_judge_block`` judges each
+    round that does not score the very outcome object of the round before on bytewise the same arrivals (those
+    copy its judgement), ``_containment`` reads the positions each ``update`` rewrote (``conf.written``; the sets
+    change through nothing else), and a ``revenue_frictions`` round's ``stable_truth`` is the eps-stability of its
+    published outcome at the policy's fee. ``record_outcomes`` keeps each round's scored outcome on the trace.
     """
     policy = spec.build(instance, horizon)
+    conf = policy.conf
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
     noise_rng = stream_rng(instance.seed, _STREAM_NOISE)
     truth = instance.truth
@@ -340,79 +337,113 @@ def run(
         outcomes=[] if record_outcomes else None,
     )
     infos: list[dict] = []
-    last: tuple | None = None  # scored outcome, arrival bytes and _judge result of the last judged round
+    last: tuple | None = None  # scored outcome, arrivals and round of the last judged round
     values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)  # laid out like conf.lo
-    outside = None  # per buffer cell, whether its interval misses the truth; None when not known
+    source = np.arange(horizon)  # the round whose judgement each round copies
+    # All arrivals: the same two read-only arrays every round.
+    every = instance.arrival.kind == "all" and tuple(np.frombuffer(np.arange(n).tobytes(), int) for n in (n_c, n_p))
+    judged, published, records, snaps, cells, start = [], [], [], [], 0, 0
 
     def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-        return _observe(values, policy.conf._positions(matching), instance.noise, noise_rng)
+        return _observe(values, conf._positions(matching), instance.noise, noise_rng)
 
     for t in range(horizon):
-        cust, prov = _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
-        written, policy.conf.written = policy.conf.written, ()
-        if written is None:
-            trace.containment[t] = policy.conf.contains(truth)
-            outside = None
+        cust, prov = every or _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
+        written, conf.written = conf.written, ()
+        if written is None or t == start:
+            records.append(None)
+            snaps.append((conf.lo - TOL <= values) & (values <= conf.hi + TOL))
         else:
-            if outside is None:
-                outside = policy.conf.outside(values)
-                missed = np.count_nonzero(outside)
-            elif len(written):
-                now = policy.conf.outside(values, written)
-                missed += np.count_nonzero(now) - np.count_nonzero(outside[written])
-                outside[written] = now
-            trace.containment[t] = missed == 0
+            records.append((written, conf.lo[written], conf.hi[written]))
+        cells += values.size if records[-1] is None else len(written)
         decision = policy.step((cust, prov), feedback)
-        arrived = (cust.tobytes(), prov.tobytes())
-        if last is not None and last[0] is decision.scored_outcome and last[1] == arrived:
+        if last and last[0] is decision.scored_outcome and (
+            last[1] is cust and last[2] is prov
+            or (last[1].tobytes(), last[2].tobytes()) == (cust.tobytes(), prov.tobytes())
+        ):
             trace.reused_rounds += 1
+            source[t] = last[3]
         else:
-            last = (decision.scored_outcome, arrived, _judge(truth, decision.scored_outcome, cust, prov, ntu))
-        inst, stable, bound = last[2]
+            last = (decision.scored_outcome, cust, prov, t)
+            judged.append(last)
+            cells += len(cust) * len(prov)
         if fee > 0:
-            # The published transfers charge the fee and refund this round's widths.
-            truth_sub = truth.restrict(cust, prov)
-            payoffs = _restrict_outcome(decision.outcome, cust, prov)._payoff_vector(truth_sub)
-            stable = _inequalities_hold(payoffs, truth_sub.joint(), fee)
-        trace.instability[t] = decision.certified_instability_bound if bound else inst
+            published.append((decision.outcome, cust, prov))
         trace.width_sum[t] = decision.width_sum
         trace.certified_bound[t] = decision.certified_instability_bound
         trace.revenue[t] = decision.revenue
-        trace.stable_truth[t] = stable
-        trace.bound_only[t] = bound
         if record_outcomes:
             trace.outcomes.append(decision.scored_outcome)
         if decision.info is not None:
             infos.append(decision.info)
+        cells += 1
+        if cells < _BLOCK_CELLS and t < horizon - 1:
+            continue
+        block = slice(start, t + 1)
+        trace.containment[block] = _containment(values, records, snaps)
+        _judge_block(trace, truth, judged, ntu)
+        for column in (trace.instability, trace.stable_truth, trace.bound_only):
+            column[block] = column[source[block]]
+        np.copyto(trace.instability[block], trace.certified_bound[block], where=trace.bound_only[block])
+        for k, (outcome, c, p) in enumerate(published, start):
+            truth_sub = truth.restrict(c, p)
+            payoffs = _restrict_outcome(outcome, c, p)._payoff_vector(truth_sub)
+            trace.stable_truth[k] = _inequalities_hold(payoffs, truth_sub.joint(), fee)
+        judged, published, records, snaps, cells, start = [], [], [], [], 0, t + 1
 
     trace.info = {key: np.array([info[key] for info in infos]) for key in infos[0]} if infos else None
     return trace
 
 
-def _judge(
-    truth: UtilityMatrix, scored_outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray, ntu: bool
-) -> tuple[float, bool, bool]:
-    """``(instability, stable_truth, bound_only)`` of one round's scored
-    outcome on its arrivals; the instability of a ``bound_only`` round is
-    nan, for the caller to fill with the round's certified bound."""
-    truth_sub = truth.restrict(cust, prov)
-    sub_outcome = _restrict_outcome(scored_outcome, cust, prov)
+def _judge_block(trace: RegretTrace, truth: UtilityMatrix, judged: list[tuple], ntu: bool) -> None:
+    """Judge each (scored outcome, customers, providers, round) of ``judged``: one ``tu_judgements`` call per
+    arrival shape, or one NTU round at a time. A ``bound_only`` round's instability is left to the caller."""
     if ntu:
-        try:
-            report = ntu_subset_instability(truth_sub, sub_outcome.matching)
-        except TooLarge:
-            return math.nan, is_stable_ntu(truth_sub, sub_outcome.matching), True
-        return report.value, report.stable, False
-    # One gain matrix gives the value and the is_stable_tu flag.
-    inst, stable = subset_instability_and_stability(truth_sub, sub_outcome)
-    return inst, stable, False
+        for outcome, cust, prov, t in judged:
+            truth_sub, matching = truth.restrict(cust, prov), _restrict_outcome(outcome, cust, prov).matching
+            try:
+                report = ntu_subset_instability(truth_sub, matching)
+                trace.instability[t], trace.stable_truth[t] = report.value, report.stable
+            except TooLarge:
+                trace.stable_truth[t], trace.bound_only[t] = is_stable_ntu(truth_sub, matching), True
+        return
+    shapes: dict[tuple, list[tuple]] = {}
+    for item in judged:
+        shapes.setdefault((len(item[1]), len(item[2])), []).append(item)
+    for shape, items in shapes.items():
+        outcomes, cust, prov, rounds = (list(column) for column in zip(*items))
+        # Arrivals are sorted and distinct, so a full shape lists every agent.
+        arrivals = () if shape == (truth.num_customers, truth.num_providers) else (np.array(cust), np.array(prov))
+        trace.instability[rounds], trace.stable_truth[rounds] = tu_judgements(truth, outcomes, *arrivals)
+
+
+def _containment(values: np.ndarray, records: list, snaps: list) -> np.ndarray:
+    """Per round, whether every interval holds the truth ``values`` (laid out like ``lo``) within TOL. A record is
+    None for the next of ``snaps``, every cell's flag (a block starts with one), or the positions an update rewrote
+    with their new ``lo`` and ``hi``; a stable sort by (snapshot, position) pairs each write with the flag it
+    replaces, and a cumulative sum of the changes counts the misses."""
+    snap = np.array([r is None for r in records])
+    seg = snap.cumsum() - 1  # the snapshot each round builds on
+    missed = values.size - np.array([np.count_nonzero(h) for h in snaps])
+    sizes = [0 if r is None else len(r[0]) for r in records]
+    ends = np.cumsum(sizes)
+    change = np.zeros(ends[-1] + 1, dtype=np.int64)  # change[1 + e]: the count's change at write e
+    if ends[-1]:
+        pos, lo, hi = (np.concatenate([r[i] for r in records if r is not None and len(r[0])]) for i in range(3))
+        now = (lo - TOL <= values[pos]) & (values[pos] <= hi + TOL)
+        key = np.repeat(seg, sizes) * values.size + pos  # the flat index into snaps of the flag a write replaces
+        order = key.argsort(kind="stable")
+        key, now = key[order], now[order]
+        first = np.concatenate(([True], key[1:] != key[:-1]))
+        before = np.where(first, np.concatenate(snaps)[key], np.concatenate(([False], now[:-1])))
+        change[1 + order] = before.view(np.int8) - now.view(np.int8)
+    total = np.cumsum(change)[ends]
+    return missed[seg] + total - total[snap][seg] == 0
 
 
 def _draw_arrivals(
     spec: ArrivalSpec, n_c: int, n_p: int, t: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "all":
-        return np.arange(n_c), np.arange(n_p)
     if spec.kind == "iid_subset":
         cust = np.flatnonzero(rng.random(n_c) < spec.probability)
         prov = np.flatnonzero(rng.random(n_p) < spec.probability)

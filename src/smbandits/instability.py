@@ -27,7 +27,6 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
-    _inequalities_hold,
     _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
@@ -63,56 +62,79 @@ class NtuInstabilityReport:
     stable: bool  # is_stable_ntu of the matching, from the same gains
 
 
-def _payoffs_and_gains(u: UtilityMatrix, outcome: MarketOutcome):
-    """Net payoffs q = (q_c, q_p) as one vector, the joint weights, pair gains
-    g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j;
-    InvalidOutcome unless the outcome's transfers are zero-sum."""
-    outcome.check_zero_sum()
-    q = outcome._payoff_vector(u)
-    n_c = u.num_customers
-    joint = u.joint()
-    g = joint - q[:n_c, None] - q[None, n_c:]
+def _gains(joint: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair gains g, floors f = max(0, -q) and reduced gains h = g - f_i - f_j of net payoffs q, customers
+    first, against joint weights (n_c, n_p); or of each row of q (R, n_c + n_p) against (n_c, n_p) or (R, n_c, n_p)."""
+    n_c = joint.shape[-2]
+    g = joint - q[..., :n_c, None]
+    g -= q[..., None, n_c:]
     f = np.maximum(0.0, -q)
-    return q, joint, g, f, g - f[:n_c, None] - f[None, n_c:]
+    h = g - f[..., :n_c, None]
+    h -= f[..., None, n_c:]
+    return g, f, h
 
 
-def _instability_value(g: np.ndarray, f: np.ndarray, rows, cols) -> float:
-    """Sum of the floors plus the gains of the matched pairs ``rows``/``cols``.
-
-    One term per customer (its pair's gain g if matched, else its floor), then
-    one per provider (its floor if unmatched, else zero), summed as one array.
-    The recorded golden trace depends on this order down to the last bit.
-    """
+def _terms_sum(g: np.ndarray, f: np.ndarray, rows, cols, *rr) -> np.ndarray:
+    """The sum of one term per customer (the gain of its matched pair, else its floor), then one per provider (zero
+    if matched, else its floor), whose positive part is the metric; per row r of stacked g and f, over the pairs where
+    ``rr`` is r. A contiguous row adds its terms as its own 1-D array would; the golden trace depends on that order."""
     terms = f.copy()
-    terms[rows] = g[rows, cols]
-    terms[len(g) + cols] = 0.0
-    return max(0.0, float(terms.sum()))
+    terms[(*rr, rows)] = g[(*rr, rows, cols)]
+    terms[(*rr, g.shape[-2] + cols)] = 0.0
+    return terms.sum(axis=-1)
 
 
-def _value_of_reduced(g: np.ndarray, f: np.ndarray, h: np.ndarray) -> float:
-    """The metric from one rectangular max-weight solve of the reduced gains."""
-    rows, cols = linear_sum_assignment(np.maximum(h, 0.0), maximize=True)
-    keep = h[rows, cols] > 0.0
-    if not keep.all():
-        rows, cols = rows[keep], cols[keep]
-    return _instability_value(g, f, rows, cols)
+def tu_judgements(
+    u: UtilityMatrix, outcomes: list, customers: np.ndarray | None = None, providers: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`subset_instability_and_stability` of each outcome of ``u``, as two arrays, on the submarket of the sorted
+    agents in row r of ``customers`` (R, a) and ``providers`` (R, b), None for all: one zero-sum check, net-payoff
+    add and (R, a, b) gain stack for all rows, and one rectangular solve per row. An outcome that is not zero-sum on
+    its submarket raises InvalidOutcome from its own ``check_zero_sum``."""
+    n_c = u.num_customers
+    tau = np.concatenate(([o.customer_transfers for o in outcomes], [o.provider_transfers for o in outcomes]), 1)
+    pairs = [o.matching.index_arrays for o in outcomes]
+    ci, pj = (np.concatenate(side) for side in zip(*pairs))
+    at = np.repeat(np.arange(0, tau.size, tau.shape[1]), [len(c) for c, _ in pairs])  # each pair's row
+    at_c, at_p = at + ci, at + n_c + pj  # each pair's two cells in the flat payoffs
+    q = tau.reshape(-1)
+    tau_c, tau_p = q[at_c], q[at_p]
+    resid = q.copy()
+    resid[at_c], resid[at_p] = tau_c + tau_p, 0.0
+    q[at_c], q[at_p] = tau_c + u.customer_values[ci, pj], tau_p + u.provider_values[pj, ci]
+    resid, joint = resid.reshape(tau.shape), u.joint()
+    if customers is not None:
+        arrived = np.concatenate((customers, n_c + providers), 1)
+        resid, tau = (np.take_along_axis(x, arrived, 1) for x in (resid, tau))
+        joint = joint[customers[:, :, None], providers[:, None, :]]
+    if np.abs(resid).max(initial=0.0) > TOL:
+        outcomes[int(np.argmax((np.abs(resid) > TOL).any(axis=1)))].check_zero_sum()
+    g, f, h = _gains(joint, tau)
+    np.maximum(h, 0.0, out=h)  # positive exactly where the reduced gain is
+    solved = [linear_sum_assignment(m, maximize=True) for m in h]
+    rows, cols = (np.concatenate(side) for side in zip(*solved))
+    rr = np.repeat(np.arange(len(solved)), [len(r) for r, _ in solved])
+    keep = h[rr, rows, cols] > 0.0
+    total = _terms_sum(g, f, rows[keep], cols[keep], rr[keep])
+    # is_stable_tu's tests on the same payoffs; the pair test, in g's place, only where rationality holds.
+    stable, a = ~(tau.min(axis=1, initial=np.inf) < -TOL), g.shape[1]
+    if stable.any():
+        slack = np.add(tau[:, :a, None], tau[:, None, a:], out=g)
+        slack -= joint
+        stable &= ~(slack.min(axis=(1, 2), initial=np.inf) < -TOL)
+    return np.where(total > 0.0, total, 0.0), stable
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
-    """Value-only fast path of :func:`subset_instability`."""
-    return _value_of_reduced(*_payoffs_and_gains(u, outcome)[2:])
+    """Value-only form of :func:`subset_instability`."""
+    return subset_instability_and_stability(u, outcome)[0]
 
 
 def subset_instability_and_stability(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, bool]:
-    """``(subset_instability_value(u, outcome), is_stable_tu(u, outcome))``
-    from one zero-sum check, one net-payoff vector and one joint matrix.
-
-    The flag applies the tests of :func:`is_stable_tu` to the same payoffs
-    and joint weights in the same order, so both results are bitwise those
-    of the two separate calls.
-    """
-    q, joint, g, f, h = _payoffs_and_gains(u, outcome)
-    return _value_of_reduced(g, f, h), _inequalities_hold(q, joint)
+    """``(subset_instability(u, outcome).value, is_stable_tu(u, outcome))``,
+    bitwise, as the one-outcome case of :func:`tu_judgements`."""
+    values, stable = tu_judgements(u, [outcome])
+    return float(values[0]), bool(stable[0])
 
 
 def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityReport:
@@ -124,10 +146,11 @@ def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityR
     positive floor violate individual rationality, and together they form the
     witness coalition; its dual prices t give the optimal subsidies f + t.
     """
-    _, _, g, f, h = _payoffs_and_gains(u, outcome)
+    outcome.check_zero_sum()
+    g, f, h = _gains(u.joint(), outcome._payoff_vector(u))
     n_c = u.num_customers
     rows, cols, t_c, t_p = assignment_with_duals(h)
-    value = _instability_value(g, f, rows, cols)
+    value = max(0.0, float(_terms_sum(g, f, rows, cols)))
 
     blocks = g[rows, cols] > TOL
     member = f > TOL

@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from smbandits.market import Matching, MarketOutcome, UtilityMatrix
+from smbandits.market import Matching, MarketOutcome, UtilityMatrix, is_stable_tu
 
 
 @pytest.fixture
@@ -89,3 +90,26 @@ def trace_digest(trace) -> str:
         h.update(outcome.customer_transfers.tobytes())
         h.update(outcome.provider_transfers.tobytes())
     return h.hexdigest()
+
+
+def reference_tu_judgement(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, bool]:
+    """The TU instability and the is_stable_tu flag of one zero-sum outcome,
+    sharing no code with the stacked judgement: payoffs by a loop over the
+    pairs, one rectangular solve of the reduced gains, and the terms
+    (customers, then providers) added as one 1-D array."""
+    outcome.check_zero_sum()
+    n_c = u.num_customers
+    q = np.concatenate((outcome.customer_transfers, outcome.provider_transfers))
+    for i, j in outcome.matching.pairs:
+        q[i] += u.customer_values[i, j]
+        q[n_c + j] += u.provider_values[j, i]
+    joint = u.customer_values + u.provider_values.T
+    g = joint - q[:n_c, None] - q[None, n_c:]
+    f = np.maximum(0.0, -q)
+    h = g - f[:n_c, None] - f[None, n_c:]
+    rows, cols = linear_sum_assignment(np.maximum(h, 0.0), maximize=True)
+    keep = h[rows, cols] > 0.0
+    terms = f.copy()
+    terms[rows[keep]] = g[rows[keep], cols[keep]]
+    terms[n_c + cols[keep]] = 0.0
+    return max(0.0, float(terms.sum())), is_stable_tu(u, outcome)

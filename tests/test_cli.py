@@ -478,6 +478,41 @@ class TestScoreCommand:
         assert data["instability"] >= 0.0
 
 
+# Files that JSON cannot decode: a byte that is not UTF-8, arrays nested past
+# the recursion limit, and an integer of more digits than Python converts.
+UNDECODABLE = {
+    "not_utf8": b'{"customer_values": [[1.0]], "provider_values": [[\xff]]}',
+    "nested_deep": b"[" * 100_000,
+    "huge_integer": b'{"schema_version": ' + b"7" * 5000 + b"}",
+}
+
+
+class TestUndecodableFiles:
+    @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+    @pytest.mark.parametrize("role", ["instance", "outcome", "config"])
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, kind, role):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(UNDECODABLE[kind])
+        inst = write_json(tmp_path / "inst.json", FIG1_INSTANCE)
+        outc = write_json(tmp_path / "outc.json", FIG1_OUTCOME)
+        argv = {
+            "instance": ["score", "--instance", str(bad), "--outcome", str(outc)],
+            "outcome": ["score", "--instance", str(inst), "--outcome", str(bad)],
+            "config": ["run", "--config", str(bad), "--out", str(tmp_path / "out")],
+        }[role]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+
+    def test_module_invocation_prints_no_traceback(self, tmp_path):
+        bad = tmp_path / "not_utf8.json"
+        bad.write_bytes(UNDECODABLE["not_utf8"])
+        proc = run_module(["score", "--instance", str(bad), "--outcome", str(bad)])
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: ") and b"Traceback" not in proc.stderr
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         assert main(["verify", "--cases", "30", "--seed", "1"]) == 0

@@ -1,14 +1,15 @@
-"""The fused TU round score, ``subset_instability_and_stability``, equals the
-two calls it replaces in the round loop, ``subset_instability_value`` and
-``is_stable_tu``, to the last bit; and it keeps the paper's identity
-"instability is zero exactly when the outcome is stable"."""
+"""The fused TU round score, ``subset_instability_and_stability`` (the
+one-outcome case of the stacked judgement), equals the one-outcome reference
+of conftest and ``is_stable_tu`` to the last bit, and so does
+``subset_instability_value``; and it keeps the paper's identity "instability
+is zero exactly when the outcome is stable"."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_market, random_zero_sum_outcome
+from conftest import random_market, random_zero_sum_outcome, reference_tu_judgement
 from smbandits.environment import _restrict_outcome, gen_hard_instance
 from smbandits.errors import InvalidOutcome
 from smbandits.instability import subset_instability_and_stability, subset_instability_value
@@ -26,10 +27,10 @@ PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=
 
 def assert_fused_equals_separate(u, outcome):
     value, stable = subset_instability_and_stability(u, outcome)
-    ref_value = subset_instability_value(u, outcome)
-    ref_stable = is_stable_tu(u, outcome, 0.0)
+    ref_value, ref_stable = reference_tu_judgement(u, outcome)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-    assert stable == ref_stable
+    assert np.float64(subset_instability_value(u, outcome)).tobytes() == np.float64(ref_value).tobytes()
+    assert stable == ref_stable == is_stable_tu(u, outcome, 0.0)
     return value, stable
 
 
