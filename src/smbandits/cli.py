@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import environment as env
-from .config import load_config, read_json
+from .config import load_config, load_score
 from .errors import ConfigError, SmbError
 from .instability import (
     ntu_subset_instability,
@@ -75,91 +75,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_object(obj, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-
-
-def _finite_array(raw, where: str, ndim: int, may_hold_bool: bool = True) -> np.ndarray:
-    """``raw`` as a float array of ``ndim`` dimensions with finite entries.
-
-    Strings, nulls, objects, ragged nesting, NaN and Infinity raise
-    ConfigError at ``where``, and so do booleans unless ``may_hold_bool``
-    is false, which skips the walk that finds them."""
-    try:
-        arr = np.asarray(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    # ``np.asarray`` reads true and false among numbers as 1 and 0.
-    ok = arr.ndim == ndim and arr.dtype.kind in "iuf"
-    if not ok or (may_hold_bool and bool in set(map(type, raw if ndim == 1 else [x for row in raw for x in row]))):
-        raise ConfigError(f"{where}: expected a {ndim}-D array of numbers")
-    arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{where}: entries must be finite")
-    return arr
-
-
-def _spells_bool(text: str) -> bool:
-    """Whether ``text`` holds ``true`` or ``false``, as every JSON boolean does. A one-character
-    search finds each candidate; ``"true" in text`` is about 25 times slower on a 40×40 instance."""
-    for word in ("true", "false"):
-        i = -1
-        while (i := text.find(word[0], i + 1)) >= 0:
-            if text.startswith(word, i):
-                return True
-    return False
-
-
-def _utility_from_snapshot(obj, text: str, path: str) -> UtilityMatrix:
-    _require_object(obj, path)
-    for key in ("customer_values", "provider_values"):
-        if key not in obj:
-            raise ConfigError(f"{path}: missing {key}")
-    may_hold_bool = _spells_bool(text)
-    cv = _finite_array(obj["customer_values"], f"{path}: customer_values", 2, may_hold_bool)
-    pv = _finite_array(obj["provider_values"], f"{path}: provider_values", 2, may_hold_bool)
-    if pv.shape != cv.shape[::-1]:
-        raise ConfigError(
-            f"{path}: provider_values: shape {pv.shape} must be {cv.shape[::-1]}, the transpose of customer_values"
-        )
-    return UtilityMatrix._trusted(cv, pv)
-
-
-def _matching_from_json(raw, path: str, n_c: int, n_p: int) -> Matching:
-    where = f"{path}: matching"
-    if not isinstance(raw, list):
-        raise ConfigError(f"{where}: expected a list of [customer, provider] pairs")
-    for k, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{where}[{k}]: expected a [customer, provider] pair")
-        for side, (x, count) in enumerate(zip(pair, (n_c, n_p))):
-            # ``type`` rather than ``isinstance``: JSON true is not an index.
-            if not (type(x) is int and 0 <= x < count):
-                raise ConfigError(f"{where}[{k}][{side}]: must be an agent index in [0, {count})")
-    try:
-        return Matching(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _outcome_from_json(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
-    _require_object(obj, path)
-    if "matching" not in obj:
-        raise ConfigError(f"{path}: missing matching")
-    matching = _matching_from_json(obj["matching"], path, n_c, n_p)
-    ntu = obj.get("ntu", False)
-    if type(ntu) is not bool:
-        raise ConfigError(f"{path}: ntu: expected true or false, got {ntu!r}")
-    transfers = []
-    for key, n in (("customer_transfers", n_c), ("provider_transfers", n_p)):
-        tau = _finite_array(obj[key], f"{path}: {key}", 1) if key in obj else np.zeros(n)
-        if tau.shape != (n,):
-            raise ConfigError(f"{path}: {key}: expected length {n}, got {tau.shape[0]}")
-        transfers.append(tau)
-    return MarketOutcome(matching, *transfers), ntu
-
-
 def _indented(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``. A list whose first item is not a
     list must hold scalars only; it goes through the C encoder, which ``indent`` bypasses. Any other
@@ -178,10 +93,7 @@ def _indented(value, pad: str) -> str:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    instance, text = read_json(args.instance)
-    outcome_obj, _ = read_json(args.outcome)
-    truth = _utility_from_snapshot(instance, text, args.instance)
-    outcome, ntu = _outcome_from_json(outcome_obj, args.outcome, truth.num_customers, truth.num_providers)
+    truth, outcome, ntu = load_score(args.instance, args.outcome)
     if ntu:
         report = ntu_subset_instability(truth, outcome.matching)
         payload = {

@@ -1,28 +1,37 @@
-"""Experiment configuration: versioned JSON schema with strict validation.
+"""JSON input: experiment configs and the instance and outcome files of ``score``.
 
-Hand-rolled validation keeps the dependency surface at zero and lets error
-messages point at the offending key path.
+Every JSON value the program reads is validated here, by one set of hand-rolled
+readers, so the rules are written once and each error names the offending key
+path. Keeping the dependency surface at zero rules out a schema library.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
 from .confidence import ConfidenceConfig
 from .environment import POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
 from .errors import ConfigError
-from .market import UtilityMatrix
+from .market import Matching, MarketOutcome, UtilityMatrix
 from .policies import _EPSILON_MAX
 
 SCHEMA_VERSION = 1
 
 _CLASSES = ("unstructured", "typed", "linear")
 
-# Gaussian feedback is mean + sigma * z, and numpy's ziggurat sampler keeps |z| < 14. Below this bound |sigma * z|
-# is under half an ulp of the largest double (2**970, about 1e292), so every draw is finite for every finite mean.
-_SIGMA_MAX = 1e290
+# The bound on every JSON number's magnitude. Gaussian feedback is mean + sigma * z, and numpy's ziggurat sampler
+# keeps |z| < 14: below this bound |sigma * z| is under half an ulp of the largest double (2**970, about 1e292), so
+# every draw is finite for every finite mean. A scored gain or floor of values and transfers within it is below
+# 6e290, so every sum of one term per agent stays finite for any market under 10**17 agents.
+_NUMBER_MAX = 1e290
+_NUMBER_RULE = f"finite, of magnitude at most {_NUMBER_MAX:g}"
+
+_NUMBER = (int, float)
+_VALUE_KEYS = ("customer_values", "provider_values")
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -36,75 +45,144 @@ def _of_type(x, types: type | tuple[type, ...]) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    """The numeric rule: a JSON number that is not a boolean, finite and of magnitude at most ``_NUMBER_MAX``.
+    An integer too large for a float compares exactly, so it fails here instead of overflowing ``float``."""
+    return _of_type(x, _NUMBER) and abs(x) <= _NUMBER_MAX
+
+
+def _require_object(obj, path: str) -> None:
+    _require(isinstance(obj, dict), path, "expected a JSON object")
+
+
 def _take(obj: dict, path: str, allowed: dict[str, type | tuple[type, ...]]) -> dict:
     """Check types of present keys and reject unknown ones; no key takes a
-    boolean."""
-    _require(isinstance(obj, dict), path, "expected an object")
+    boolean, and every number keeps the numeric rule."""
+    _require_object(obj, path)
     unknown = set(obj) - set(allowed)
     _require(not unknown, path, f"unknown keys {sorted(unknown)}")
     for key, types in allowed.items():
         if key in obj:
-            _require(_of_type(obj[key], types), f"{path}.{key}", f"expected {types}")
+            value = obj[key]
+            _require(_of_type(value, types), f"{path}.{key}", f"expected {types}")
+            _require(_is_number(value) or not _of_type(value, _NUMBER), f"{path}.{key}", f"must be {_NUMBER_RULE}")
     return obj
 
 
+# The readers that ``score`` runs test before they format a message: every benchmark workload times ``score``.
+def _agent_indices(xs: list, counts, path: str, *index: int) -> None:
+    """Raise at ``path[index]...[k]`` for the first entry k of ``xs`` that is not an agent index in [0, counts[k])."""
+    for k, (x, count) in enumerate(zip(xs, counts)):
+        # ``type`` rather than ``isinstance``: JSON true is not an index.
+        if not (type(x) is int and 0 <= x < count):
+            raise ConfigError(f"{path}{''.join(f'[{i}]' for i in (*index, k))}: must be an agent index in [0, {count})")
+
+
+def _number_array(raw, where: str, ndim: int, may_hold_bool: bool = True) -> np.ndarray:
+    """``raw`` as a float array of ``ndim`` dimensions whose entries keep the numeric rule.
+
+    Strings, nulls, objects, ragged nesting, NaN, Infinity and numbers beyond
+    the bound raise ConfigError at ``where``, and so do booleans unless
+    ``may_hold_bool`` is false, which skips the walk that finds them."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if arr.dtype.kind == "O" and all(_of_type(x, _NUMBER) for x in arr.flat):
+        # Integers beyond 64 bits; one beyond the bound reads as infinity, which the bound rejects below.
+        arr = np.array([x if abs(x) <= _NUMBER_MAX else math.inf for x in arr.flat], dtype=float).reshape(arr.shape)
+    # ``np.asarray`` reads true and false among numbers as 1 and 0.
+    ok = arr.ndim == ndim and arr.dtype.kind in "iuf"
+    if not ok or (may_hold_bool and bool in set(map(type, raw if ndim == 1 else [x for row in raw for x in row]))):
+        raise ConfigError(f"{where}: expected a {ndim}-D array of numbers")
+    arr = arr.astype(float, copy=False)
+    if not np.abs(arr).max(initial=0.0) <= _NUMBER_MAX:
+        raise ConfigError(f"{where}: entries must be {_NUMBER_RULE}")
+    return arr
+
+
+def _spells_bool(text: str) -> bool:
+    """Whether ``text`` holds ``true`` or ``false``, as every JSON boolean does. A one-character
+    search finds each candidate; ``"true" in text`` is about 25 times slower on a 40×40 instance."""
+    for word in ("true", "false"):
+        i = -1
+        while (i := text.find(word[0], i + 1)) >= 0:
+            if text.startswith(word, i):
+                return True
+    return False
+
+
+def _utility(obj, path: str, sep: str, may_hold_bool: bool = True) -> UtilityMatrix:
+    """The value matrices of ``obj``, each read at key path ``path + sep + key``."""
+    _require_object(obj, path)
+    for key in _VALUE_KEYS:
+        if key not in obj:
+            raise ConfigError(f"{path}: missing {key}")
+    cv, pv = [_number_array(obj[key], f"{path}{sep}{key}", 2, may_hold_bool) for key in _VALUE_KEYS]
+    if pv.shape != cv.shape[::-1]:
+        raise ConfigError(
+            f"{path}{sep}provider_values: shape {pv.shape} must be {cv.shape[::-1]}, the transpose of customer_values"
+        )
+    return UtilityMatrix._trusted(cv, pv)
+
+
+def _outcome(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
+    """The outcome of ``score`` file ``path`` on an n_c x n_p market, and whether it is scored as NTU."""
+    _require_object(obj, path)
+    _require("matching" in obj, path, "missing matching")
+    raw, where = obj["matching"], f"{path}: matching"
+    _require(isinstance(raw, list), where, "expected a list of [customer, provider] pairs")
+    for k, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{where}[{k}]: expected a [customer, provider] pair")
+        _agent_indices(pair, (n_c, n_p), where, k)
+    try:
+        matching = Matching(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    ntu = obj.get("ntu", False)
+    if type(ntu) is not bool:
+        raise ConfigError(f"{path}: ntu: expected true or false, got {ntu!r}")
+    transfers = []
+    for key, n in (("customer_transfers", n_c), ("provider_transfers", n_p)):
+        tau = _number_array(obj[key], f"{path}: {key}", 1) if key in obj else np.zeros(n)
+        if tau.shape != (n,):
+            raise ConfigError(f"{path}: {key}: expected length {n}, got {tau.shape[0]}")
+        transfers.append(tau)
+    return MarketOutcome(matching, *transfers), ntu
+
+
 def _parse_policy(obj: dict, path: str) -> PolicySpec:
-    _take(
-        obj,
-        path,
-        {
-            "kind": str,
-            "ucb_scale": (int, float),
-            "lin_beta_d_coeff": (int, float),
-            "lin_beta_log_coeff": (int, float),
-            "lin_ridge": (int, float),
-            "epsilon": (int, float),
-            "etc_pulls_per_pair": int,
-        },
-    )
+    knobs = [f.name for f in dataclasses.fields(ConfidenceConfig)]
+    _take(obj, path, {"kind": str, **dict.fromkeys(knobs, _NUMBER), "epsilon": _NUMBER, "etc_pulls_per_pair": int})
     kind = obj.get("kind")
     _require(kind in POLICY_KINDS, f"{path}.kind", f"must be one of {tuple(POLICY_KINDS)}")
     pulls = obj.get("etc_pulls_per_pair")
     _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
     try:
-        conf = ConfidenceConfig(
-            ucb_scale=float(obj.get("ucb_scale", 8.0)),
-            lin_beta_d_coeff=float(obj.get("lin_beta_d_coeff", 4.0)),
-            lin_beta_log_coeff=float(obj.get("lin_beta_log_coeff", 8.0)),
-            lin_ridge=float(obj.get("lin_ridge", 1.0)),
-        )
+        conf = ConfidenceConfig(**{key: float(obj[key]) for key in knobs if key in obj})
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from exc
-    epsilon = float(obj.get("epsilon", 0.3))
+    epsilon = float(obj.get("epsilon", PolicySpec.epsilon))
     if kind == "revenue_frictions":
         _require(0 < epsilon <= _EPSILON_MAX, f"{path}.epsilon", f"must lie in (0, {_EPSILON_MAX:g}]")
-    return PolicySpec(
-        kind=kind,
-        confidence=conf,
-        epsilon=epsilon,
-        etc_pulls_per_pair=pulls,
-    )
+    return PolicySpec(kind=kind, confidence=conf, epsilon=epsilon, etc_pulls_per_pair=pulls)
 
 
 def _parse_agents(raw, path: str, count: int) -> tuple[int, ...]:
     """Distinct agent indices in [0, count)."""
     _require(isinstance(raw, list), path, "expected a list of agent indices")
-    for k, x in enumerate(raw):
-        _require(
-            _of_type(x, int) and 0 <= x < count,
-            f"{path}[{k}]",
-            f"must be an agent index in [0, {count})",
-        )
+    _agent_indices(raw, [count] * len(raw), path)
     _require(len(set(raw)) == len(raw), path, "repeats an agent index")
     return tuple(raw)
 
 
 def _parse_arrival(obj: dict, path: str, n_c: int, n_p: int) -> ArrivalSpec:
-    _take(obj, path, {"kind": str, "p": (int, float), "schedule": list})
-    kind = obj.get("kind", "all")
+    _take(obj, path, {"kind": str, "p": _NUMBER, "schedule": list})
+    kind = obj.get("kind", ArrivalSpec.kind)
     _require(kind in ("all", "iid_subset", "fixed"), f"{path}.kind", "must be all|iid_subset|fixed")
     if kind == "iid_subset":
-        p = float(obj.get("p", 1.0))
+        p = float(obj.get("p", ArrivalSpec.probability))
         _require(0.0 < p <= 1.0, f"{path}.p", "must lie in (0, 1]")
         return ArrivalSpec(kind="iid_subset", probability=p)
     if kind == "fixed":
@@ -128,27 +206,20 @@ def _parse_arrival(obj: dict, path: str, n_c: int, n_p: int) -> ArrivalSpec:
 
 
 def _parse_noise(obj: dict, path: str) -> NoiseSpec:
-    _take(obj, path, {"kind": str, "sigma": (int, float)})
-    kind = obj.get("kind", "gaussian")
+    _take(obj, path, {"kind": str, "sigma": _NUMBER})
+    kind = obj.get("kind", NoiseSpec.kind)
     _require(kind in ("gaussian", "bernoulli"), f"{path}.kind", "must be gaussian|bernoulli")
-    sigma = float(obj.get("sigma", 1.0))
-    _require(0 <= sigma <= _SIGMA_MAX, f"{path}.sigma", f"must lie in [0, {_SIGMA_MAX:g}]")
+    sigma = float(obj.get("sigma", NoiseSpec.sigma))
+    _require(sigma >= 0, f"{path}.sigma", f"must lie in [0, {_NUMBER_MAX:g}]")
     return NoiseSpec(kind=kind, sigma=sigma)
 
 
 def _parse_truth(obj: dict, path: str, n_c: int, n_p: int) -> UtilityMatrix:
-    _take(obj, path, {"customer_values": list, "provider_values": list})
-    _require("customer_values" in obj and "provider_values" in obj, path, "needs both value matrices")
-    for key in ("customer_values", "provider_values"):
-        _require(
-            all(isinstance(row, list) and all(_of_type(x, (int, float)) for x in row) for row in obj[key]),
-            f"{path}.{key}",
-            "must be a list of rows of numbers",
-        )
-    try:
-        truth = UtilityMatrix(np.asarray(obj["customer_values"]), np.asarray(obj["provider_values"]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    _take(obj, path, dict.fromkeys(_VALUE_KEYS, list))
+    truth = _utility(obj, path, ".")
+    for key in _VALUE_KEYS:
+        # The confidence sets are clipped to [-1, 1], so they never contain a truth outside it.
+        _require(np.abs(getattr(truth, key)).max(initial=0.0) <= 1.0, f"{path}.{key}", "entries must lie in [-1, 1]")
     _require(
         truth.num_customers == n_c and truth.num_providers == n_p,
         path,
@@ -224,11 +295,10 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
         horizon=obj["horizon"],
         policy=policy,
         seeds=tuple(seeds),
-        num_types=obj.get("num_types", 3),
-        dim=obj.get("dim", 3),
         arrival=arrival,
         noise=noise,
         truth=truth,
+        **{key: obj[key] for key in ("num_types", "dim") if key in obj},
     )
 
 
@@ -247,3 +317,12 @@ def read_json(path: str) -> tuple[object, str]:
 
 def load_config(path: str) -> SweepCell:
     return parse_config(read_json(path)[0])
+
+
+def load_score(instance_path: str, outcome_path: str) -> tuple[UtilityMatrix, MarketOutcome, bool]:
+    """The true utilities of a ``score`` instance file, the outcome of its outcome file and whether the
+    outcome is scored as NTU."""
+    instance, text = read_json(instance_path)
+    outcome, _ = read_json(outcome_path)
+    truth = _utility(instance, instance_path, ": ", _spells_bool(text))
+    return (truth, *_outcome(outcome, outcome_path, truth.num_customers, truth.num_providers))

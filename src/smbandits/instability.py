@@ -27,6 +27,7 @@ from .market import (
     Matching,
     MarketOutcome,
     UtilityMatrix,
+    _inequalities_hold,
     _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
@@ -116,13 +117,8 @@ def tu_judgements(
     rr = np.repeat(np.arange(len(solved)), [len(r) for r, _ in solved])
     keep = h[rr, rows, cols] > 0.0
     total = _terms_sum(g, f, rows[keep], cols[keep], rr[keep])
-    # is_stable_tu's tests on the same payoffs; the pair test, in g's place, only where rationality holds.
-    stable, a = ~(tau.min(axis=1, initial=np.inf) < -TOL), g.shape[1]
-    if stable.any():
-        slack = np.add(tau[:, :a, None], tau[:, None, a:], out=g)
-        slack -= joint
-        stable &= ~(slack.min(axis=(1, 2), initial=np.inf) < -TOL)
-    return np.where(total > 0.0, total, 0.0), stable
+    # is_stable_tu's test on the same payoffs, in g's place.
+    return np.where(total > 0.0, total, 0.0), _inequalities_hold(tau, joint, out=g)
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:

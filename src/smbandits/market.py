@@ -427,17 +427,24 @@ def payoff_inequalities_hold(q_c: np.ndarray, q_p: np.ndarray, joint: np.ndarray
     Transfers need not be zero-sum; this is also the eps-stability notion
     of the search-frictions setting, where fees make them non-zero-sum.
     """
-    return _inequalities_hold(np.concatenate((q_c, q_p)), joint, eps)
+    return bool(_inequalities_hold(np.concatenate((q_c, q_p)), joint, eps))
 
 
-def _inequalities_hold(q: np.ndarray, joint: np.ndarray, eps: float = 0.0) -> bool:
-    """:func:`payoff_inequalities_hold` on one vector of customer, then provider, net payoffs."""
+def _inequalities_hold(q: np.ndarray, joint: np.ndarray, eps: float = 0.0, out: np.ndarray | None = None):
+    """:func:`payoff_inequalities_hold` on one vector of customer, then provider, net payoffs against joint weights
+    (n_c, n_p); or, as a boolean array, on each row of q (R, n_c + n_p) against (n_c, n_p) or (R, n_c, n_p). The pair
+    test, written into ``out`` when given, runs only where individual rationality holds."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if q.size and q.min() < -eps - TOL:
-        return False
-    n_c = len(joint)
-    return not (joint.size and (q[:n_c, None] + q[None, n_c:] - joint + 2.0 * eps).min() < -TOL)
+    n_c = joint.shape[-2]
+    holds = ~(q.min(axis=-1, initial=np.inf) < -eps - TOL)
+    if holds.any():
+        slack = np.add(q[..., :n_c, None], q[..., None, n_c:], out=out)
+        slack -= joint
+        if eps:  # adding 0.0 changes no comparison; it would cost a pass over every stacked pair
+            slack += 2.0 * eps
+        holds &= ~(slack.min(axis=(-2, -1), initial=np.inf) < -TOL)
+    return holds
 
 
 def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> bool:
@@ -448,7 +455,7 @@ def is_stable_tu(u: UtilityMatrix, outcome: MarketOutcome, eps: float = 0.0) -> 
     zero-sum (InvalidOutcome otherwise).
     """
     outcome.check_zero_sum()
-    return _inequalities_hold(outcome._payoff_vector(u), u.joint(), eps)
+    return bool(_inequalities_hold(outcome._payoff_vector(u), u.joint(), eps))
 
 
 def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -143,6 +143,25 @@ class TestConfigParsing:
                 {"truth": {"customer_values": [[True, 0.5], [0.2, 0.3]], "provider_values": [[0.1, 0.2], [0.3, 0.4]]}},
                 r"config\.truth\.customer_values",
             ),
+            # The confidence sets are clipped to [-1, 1]: a truth entry of 1.5 is never contained.
+            (
+                {"truth": {"customer_values": [[1.5, 0.5], [0.2, 0.3]], "provider_values": [[0.1, 0.2], [0.3, 0.4]]}},
+                r"config\.truth\.customer_values: entries must lie in \[-1, 1\]",
+            ),
+            (
+                {"truth": {"customer_values": [[0.5, 0.5], [0.2, 0.3]], "provider_values": [[0.1, 0.2], [-1.25, 0.4]]}},
+                r"config\.truth\.provider_values: entries must lie in \[-1, 1\]",
+            ),
+            # Both sides of a pair at 1e308 once parsed and then overflowed the solver mid-run.
+            (
+                {
+                    "truth": {
+                        "customer_values": [[1e308, 0.5], [0.2, 0.3]],
+                        "provider_values": [[1e308, 0.2], [0.3, 0.4]],
+                    }
+                },
+                r"config\.truth\.customer_values",
+            ),
         ],
         ids=[
             "schedule_out_of_range",
@@ -172,6 +191,9 @@ class TestConfigParsing:
             "num_types_zero",
             "dim_zero",
             "truth_bool",
+            "truth_above_one",
+            "truth_below_minus_one",
+            "truth_overflowing",
         ],
     )
     def test_rejected_at_parse_time_with_key_path(self, overrides, key_path):
@@ -401,6 +423,10 @@ class TestScoreCommand:
             ({"matching": [[True, 1]]}, "matching[0][0]"),
             ({"matching": [[0, "1"]]}, "matching[0][1]"),
             ({"matching": 5}, "matching"),
+            (
+                {"matching": [[0, 1]], "customer_transfers": [1e300, 0], "provider_transfers": [0, -1e300]},
+                "customer_transfers",
+            ),
         ],
         ids=[
             "transfer_string",
@@ -414,6 +440,7 @@ class TestScoreCommand:
             "index_bool",
             "index_string",
             "matching_not_list",
+            "transfer_beyond_bound",
         ],
     )
     def test_malformed_outcome_names_key(self, tmp_path, capsys, outcome, key):
@@ -433,8 +460,23 @@ class TestScoreCommand:
             ([1, 2], "expected a JSON object"),
             ({**SQUARE_INSTANCE, "customer_values": [[True, 0.5], [0.2, 0.8]]}, "customer_values"),
             ({**SQUARE_INSTANCE, "provider_values": [[0.3, 0.6], [0.9, False]]}, "provider_values"),
+            # The matched pair (0, 1) at 1e308 on both sides: its joint weight overflows to inf.
+            (
+                {"customer_values": [[1.0, 1e308], [0.2, 0.8]], "provider_values": [[0.3, 0.6], [1e308, 0.1]]},
+                "customer_values",
+            ),
+            ({**SQUARE_INSTANCE, "provider_values": [[0.3, 0.6], [0.9, -1e291]]}, "provider_values"),
         ],
-        ids=["value_string", "values_not_list", "shape_mismatch", "not_object", "value_bool", "value_bool_false"],
+        ids=[
+            "value_string",
+            "values_not_list",
+            "shape_mismatch",
+            "not_object",
+            "value_bool",
+            "value_bool_false",
+            "values_overflowing",
+            "value_beyond_bound",
+        ],
     )
     def test_malformed_instance_names_key(self, tmp_path, capsys, instance, key):
         inst = write_json(tmp_path / "inst.json", instance)
@@ -450,6 +492,17 @@ class TestScoreCommand:
         outc = write_json(tmp_path / "outc.json", {"matching": [[0, 1]]})
         printed = []
         for name, instance in (("plain", SQUARE_INSTANCE), ("flagged", {**SQUARE_INSTANCE, "note": True})):
+            inst = write_json(tmp_path / f"{name}.json", instance)
+            assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_wide_integer_value_scores_as_float(self, tmp_path, capsys):
+        # json reads 10**20 as an int beyond 64 bits, which numpy holds as an object.
+        outc = write_json(tmp_path / "outc.json", {"matching": [[0, 1]]})
+        printed = []
+        for name, value in (("integer", 10**20), ("float", 1e20)):
+            instance = {**SQUARE_INSTANCE, "customer_values": [[1.0, value], [0.2, 0.8]]}
             inst = write_json(tmp_path / f"{name}.json", instance)
             assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
             printed.append(capsys.readouterr().out)

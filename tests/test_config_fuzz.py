@@ -202,3 +202,34 @@ def test_gaussian_noise_beyond_the_sigma_bound_rejected():
     cfg["noise"]["sigma"] = 1e308
     with pytest.raises(ConfigError, match=r"^config\.noise\.sigma"):
         parse_config(cfg)
+
+
+# A JSON integer of 401 digits: json reads it exactly, and float() of it overflows.
+WIDE_INTEGER = 10**400
+
+
+@pytest.mark.parametrize(
+    "base, leaf",
+    [
+        (0, ("policy", "ucb_scale")),
+        (2, ("policy", "lin_beta_d_coeff")),
+        (2, ("policy", "lin_beta_log_coeff")),
+        (2, ("policy", "lin_ridge")),
+        (3, ("policy", "epsilon")),
+        (1, ("arrival", "p")),
+        (0, ("noise", "sigma")),
+        (0, ("truth", "customer_values", 1, 0)),
+    ],
+    ids=["ucb_scale", "lin_beta_d_coeff", "lin_beta_log_coeff", "lin_ridge", "epsilon", "p", "sigma", "truth"],
+)
+def test_integer_beyond_float_range_rejected(base, leaf):
+    # Each leaf once went through float() and crashed the run with OverflowError.
+    cfg = copy.deepcopy(VALID_CONFIGS[base])
+    node = cfg
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = WIDE_INTEGER
+    path = re.escape(".".join(key for key in leaf if isinstance(key, str)))
+    with pytest.raises(ConfigError, match=rf"^config\.{path}: "):
+        parse_config(cfg)
+
