@@ -18,7 +18,7 @@ import numpy as np
 
 from . import environment as env
 from .config import load_config, load_score
-from .errors import ConfigError, SmbError
+from .errors import ConfigError, InvalidOutcome, SmbError
 from .instability import (
     ntu_subset_instability,
     ntu_subset_instability_bruteforce,
@@ -106,7 +106,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         # One report carries all three faces: the value is the maximum
         # coalition unhappiness, the witness its coalition, and the subsidies
         # the minimum stabilizing ones.
-        report = subset_instability(truth, outcome)
+        try:
+            report = subset_instability(truth, outcome)
+        except InvalidOutcome as exc:  # transfers that are not zero-sum, named by the file they came from
+            raise ConfigError(f"{args.outcome}: customer_transfers, provider_transfers: {exc}") from exc
         wc, wp = report.witness_subset
         witness = sorted([f"C{i}" for i in wc.tolist()] + [f"P{j}" for j in wp.tolist()])
         payload = {

@@ -164,20 +164,29 @@ class UnstructuredConfidence(ConfidenceSets):
     def __init__(self, num_customers: int, num_providers: int, config: ConfidenceConfig | None = None) -> None:
         super().__init__(num_customers, num_providers)
         self.config = config or ConfidenceConfig()
-        # Laid out like ``lo`` and ``hi``; both orientations of a pair share a count.
-        self.counts = np.zeros(self.lo.size, dtype=int)
-        self.mean = np.zeros(self.lo.size)
+        # Python lists laid out like ``lo`` and ``hi``; both orientations of a pair share a count.
+        self.counts = [0] * self.lo.size
+        self.mean = [0.0] * self.lo.size
 
     def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> np.ndarray:
-        # Pairs are disjoint, so no position repeats within one round.
+        # Pairs are disjoint, so no position repeats within one round. One scalar pass in the order customer 0,
+        # provider 0, customer 1, ...: at a few pairs a round numpy's fixed cost per call outweighs its arithmetic.
         log_term = math.log(max(self.num_agents * horizon, 2))
+        scale, sqrt, counts, means = self.config.ucb_scale, math.sqrt, self.counts, self.mean
         pos = self._positions(matching)
-        n = self.counts[pos] + 1
-        self.counts[pos] = n
-        mean = self.mean[pos]
-        mean += (np.array((r_c, r_p)).T.reshape(-1) - mean) / n
-        self.mean[pos] = mean
-        self.lo[pos], self.hi[pos] = _clip_intervals(mean, self.config.ucb_scale * np.sqrt(log_term / n))
+        rewards = [0.0] * pos.size
+        rewards[::2], rewards[1::2] = r_c.tolist(), r_p.tolist()
+        lo, hi = [], []
+        for q, r in zip(pos.tolist(), rewards):
+            counts[q] = n = counts[q] + 1
+            m = means[q]
+            means[q] = m = m + (r - m) / n
+            hw = scale * sqrt(log_term / n)
+            # min(max(m - hw, -1), 1) and max(min(m + hw, 1), -1), without the calls.
+            a, b = m - hw, m + hw
+            lo.append(-1.0 if a < -1.0 else 1.0 if a > 1.0 else a)
+            hi.append(1.0 if b > 1.0 else -1.0 if b < -1.0 else b)
+        self.lo[pos], self.hi[pos] = lo, hi
         return pos
 
 

@@ -9,6 +9,7 @@ which is exactly the primal-dual pair that characterizes stable outcomes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -257,6 +258,52 @@ def certified_duals(joint: np.ndarray, matching: Matching) -> tuple[np.ndarray, 
 
 
 def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_duals_numpy`, bytes and errors alike, step for step on the lists of one ``w.tolist()`` in markets of
+    at most ``_TABLE_MAX_CELLS`` cells, where numpy's fixed cost per call outweighs its arithmetic. Where numpy's
+    minimum, maximum and axis-0 reductions meet equal operands (0.0 and -0.0) they return the later one, and so
+    does every comparison here. One pair over several free customers keeps the numpy pass: its free bound is then
+    one contiguous column, which numpy may reduce in SIMD lanes that pick between 0.0 and -0.0 by another rule."""
+    n_c, n_p = w.shape
+    k = len(ci)
+    if w.size > _TABLE_MAX_CELLS or (k == 1 and n_c > 2):
+        return _duals_numpy(w, ci, pj)
+    rows, cl, pl = w.tolist(), ci.tolist(), pj.tolist()
+    p_c, p_p = [0.0] * n_c, [0.0] * n_p
+    if not k:
+        return np.array(p_c), np.array(p_p)
+    matched = [rows[i] for i in cl]
+    wk = [r[j] for r, j in zip(matched, pl)]
+    x = wk
+    if k < n_c:
+        free = [r for i, r in enumerate(rows) if i not in cl]
+        x = [b - max(reversed([r[j] for r in free])) for j, b in zip(pl, wk)]
+    d = [[r[j] - b for j, b in zip(pl, wk)] for r in matched]
+    for a in range(k):
+        d[a][a] = -math.inf
+    for _ in range(k):
+        new_x = []
+        for l, m in enumerate(x):
+            for xa, da in zip(x, d):
+                if (v := xa - da[l]) <= m:
+                    m = v
+            new_x.append(m)
+        if new_x == x:
+            break
+        x = new_x
+    tol = _DUAL_RTOL * max(map(max, rows))
+    fails = min(x) < -tol
+    for i, j, a, b in zip(cl, pl, x, wk):
+        p_c[i], p_p[j] = a, b - a
+        fails = fails or a + (b - a) - b > tol
+    for a, r in zip(p_c, rows):
+        for b, v in zip(p_p, r):
+            fails = fails or a + b - v < -tol
+    if fails:
+        raise UncertifiedDuals(f"no dual prices certify the matching to tolerance {tol:.3g}")
+    return np.array([a if a > 0.0 else 0.0 for a in p_c]), np.array(p_p)
+
+
+def _duals_numpy(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dual prices supporting an optimal matching of nonnegative weights ``w``.
 
     The matching pairs customer ``ci[k]`` with provider ``pj[k]``. Unmatched

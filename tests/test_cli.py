@@ -452,6 +452,31 @@ class TestScoreCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "outcome, message",
+        [
+            (
+                {"matching": [[0, 1]], "customer_transfers": [0.5, 0], "provider_transfers": [0, 0.25]},
+                "transfers of pair (0,1) are not zero-sum",
+            ),
+            (
+                {"matching": [[0, 1]], "customer_transfers": [0, 0.5], "provider_transfers": [0, 0]},
+                "unmatched customer 1 has nonzero transfer",
+            ),
+            (
+                {"matching": [[0, 1]], "customer_transfers": [0, 0], "provider_transfers": [-0.5, 0]},
+                "unmatched provider 0 has nonzero transfer",
+            ),
+        ],
+        ids=["pair", "unmatched_customer", "unmatched_provider"],
+    )
+    def test_transfers_not_zero_sum_name_file_and_keys(self, tmp_path, capsys, outcome, message):
+        inst = write_json(tmp_path / "inst.json", SQUARE_INSTANCE)
+        outc = write_json(tmp_path / "outc.json", outcome)
+        assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {outc}: customer_transfers, provider_transfers: {message}\n"
+
+    @pytest.mark.parametrize(
         "instance, key",
         [
             ({**SQUARE_INSTANCE, "customer_values": [["a", 0.5], [0.2, 0.8]]}, "customer_values"),

@@ -133,7 +133,7 @@ class TestUnstructuredUpdate:
         for bad in (agent_dict, (r_c, r_p, r_p), np.array([0.1, 0.1]), None):
             with pytest.raises(ProtocolViolation):
                 conf.update(m, bad, horizon=100)
-        assert (conf.counts == 0).all()
+        assert (np.asarray(conf.counts) == 0).all()
 
 
 class TestTypedUpdate:

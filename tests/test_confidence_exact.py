@@ -108,7 +108,8 @@ def random_round(rng, n_c, n_p):
 
 def assert_same_state(got, want, names):
     for name in names + ("lo_c", "hi_c", "lo_p", "hi_p"):
-        g, w = getattr(got, name), getattr(want, name)
+        # Unstructured counts and means are Python lists: compared as the arrays they convert to.
+        g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         np.testing.assert_array_equal(g, w, err_msg=name)
         # Bytes too: equal values may still differ in the sign of a zero.
         assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
@@ -139,6 +140,69 @@ def test_unstructured_matches_reference(seed):
         ("counts", "mean"),
         rng, n_c, n_p,
     )
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1)], ids=["1x8", "8x1"])
+@pytest.mark.parametrize("config", [NARROW, ConfidenceConfig()], ids=["narrow", "default"])
+def test_unstructured_single_row_or_column_matches_reference(shape, config):
+    rng = np.random.default_rng(shape[0])
+    play(lambda: UnstructuredConfidence(*shape, config), reference_unstructured, ("counts", "mean"), rng, *shape)
+
+
+def play_given(conf_for, rounds, horizon=100):
+    """Play the given ``(pairs, r_c, r_p)`` rounds on the update and on the
+    reference, comparing state after each; return the updated sets."""
+    got, want = conf_for(), conf_for()
+    for pairs, r_c, r_p in rounds:
+        r_c, r_p = np.array(r_c, dtype=float), np.array(r_p, dtype=float)
+        got.update(Matching(pairs), (r_c, r_p), horizon)
+        reference_unstructured(want, pairs, r_c, r_p, horizon)
+        assert_same_state(got, want, ("counts", "mean"))
+    return got
+
+
+def reward_landing_on(bound, hw):
+    """A first reward r with r + hw (bound 1) or r - hw (bound -1) exactly ``bound`` in floats."""
+    start = bound - math.copysign(hw, bound)
+    for r in (start, math.nextafter(start, math.inf), math.nextafter(start, -math.inf)):
+        if (r + hw if bound > 0 else r - hw) == bound:
+            return r
+    raise AssertionError(f"no reward lands on {bound} with half-width {hw!r}")
+
+
+DIAGONAL = ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("horizon", [10, 100, 1000, 5000])
+def test_unstructured_bounds_landing_exactly_on_one(horizon):
+    config = ConfidenceConfig(ucb_scale=0.3)
+    hw = config.ucb_scale * math.sqrt(math.log(4 * horizon))
+    top, bottom = reward_landing_on(1.0, hw), reward_landing_on(-1.0, hw)
+    conf = play_given(lambda: UnstructuredConfidence(2, 2, config), [(DIAGONAL, [top, bottom], [bottom, top])], horizon)
+    assert conf.hi_c[0, 0] == conf.hi_p[1, 1] == 1.0 and conf.lo_c[0, 0] == top - hw
+    assert conf.lo_c[1, 1] == conf.lo_p[0, 0] == -1.0 and conf.hi_c[1, 1] == bottom + hw
+    # Without a width the interval is the mean itself, here exactly on the bounds.
+    flat = ConfidenceConfig(ucb_scale=0.0)
+    conf = play_given(lambda: UnstructuredConfidence(2, 2, flat), [(DIAGONAL, [1.0, -1.0], [-1.0, 1.0])] * 3, horizon)
+    assert conf.lo_c[0, 0] == conf.hi_c[0, 0] == 1.0 and conf.lo_c[1, 1] == conf.hi_c[1, 1] == -1.0
+
+
+@pytest.mark.parametrize("reward, pinned", [(5.0, 1.0), (-5.0, -1.0)])
+def test_unstructured_interval_outside_the_range_is_pinned(reward, pinned):
+    # Half-width 0.3 * sqrt(log 400) < 0.75: the interval around 5 (or -5)
+    # lies wholly outside [-1, 1] and pins to the nearer bound.
+    rounds = [(DIAGONAL, [reward, 0.2], [reward, -0.2])] * 2 + [(((0, 1),), [0.5], [reward])]
+    conf = play_given(lambda: UnstructuredConfidence(2, 2, NARROW), rounds)
+    assert conf.lo_c[0, 0] == conf.hi_c[0, 0] == pinned and conf.lo_p[0, 0] == conf.hi_p[0, 0] == pinned
+    assert conf.lo_p[1, 0] == conf.hi_p[1, 0] == pinned
+    assert -1.0 < conf.lo_c[1, 1] < conf.hi_c[1, 1] < 1.0
+
+
+@pytest.mark.parametrize("config", [NARROW, ConfidenceConfig(ucb_scale=0.0)], ids=["narrow", "flat"])
+def test_unstructured_signed_zero_rewards(config):
+    rounds = [(DIAGONAL, [0.0, -0.0], [-0.0, 0.0]), (DIAGONAL, [-0.0, -0.0], [0.0, -0.0]), (((1, 0),), [-0.0], [0.0])]
+    conf = play_given(lambda: UnstructuredConfidence(2, 2, config), rounds * 2)
+    assert np.asarray(conf.counts).tolist() == [4, 0, 2, 4, 4, 2, 0, 4]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -8,13 +8,16 @@ compare output bytes, signed zeros included, and the certificate's errors.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import trace_digest
 from smbandits import environment as env
+from smbandits import market
 from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
 from smbandits.errors import UncertifiedDuals
-from smbandits.market import Matching, _duals_for_matching, _positive_assignment
+from smbandits.market import Matching, _duals_for_matching, _positive_assignment, assignment_with_duals
 from smbandits.policies import all_arrivals, compute_match, compute_match_ntu
 
 # -- references ----------------------------------------------------------------
@@ -218,6 +221,93 @@ def test_dual_certificate_cases_equal_reference(w, ci, pj):
         assert str(got.value) == str(exc)
         return
     assert_same_bytes(_duals_for_matching(w, ci, pj), want)
+
+
+SMALL_SHAPES = [(n_c, n_p) for n_c in range(1, 17) for n_p in range(1, 17) if n_c * n_p <= market._TABLE_MAX_CELLS]
+WIDE_SHAPES = [shape for shape in SMALL_SHAPES if min(shape) > 2]
+TALL_SHAPES = [(n_c, n_p) for n_c, n_p in SMALL_SHAPES if 1 < n_p <= n_c - 2]
+
+
+_ZERO = st.sampled_from((0.0, -0.0))
+# Entries of one market. Tenths tie in exact arithmetic but not in floats:
+# a cycle of alternate optimal pairs may keep relaxing by an ulp up to the
+# step cap. Signed zeros make numpy's choice between equal operands show.
+WEIGHTS = {
+    "random": st.one_of(st.floats(0.0, 1.0), _ZERO),
+    "quarter": st.one_of(st.integers(0, 8).map(lambda v: v * 0.25), _ZERO),
+    "tenths": st.sampled_from((0.1, 0.2, 0.3)),
+    "signed_zeros": st.sampled_from((0.0, -0.0, -0.0, 1.0, 2.0)),
+}
+
+
+@st.composite
+def small_dual_cases(draw):
+    """Nonnegative weights of a market of at most 16 cells and a matching:
+    optimal, optimal on its positive pairs, with some pairs dropped, or with
+    its providers permuted (usually not optimal)."""
+    # Half the draws from the shapes whose matchings have three pairs or more, a
+    # quarter from those that leave two customers or more unmatched.
+    n_c, n_p = draw(st.sampled_from(draw(st.sampled_from((SMALL_SHAPES, WIDE_SHAPES, WIDE_SHAPES, TALL_SHAPES)))))
+    entry = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    w = np.array(draw(st.lists(entry, min_size=n_c * n_p, max_size=n_c * n_p))).reshape(n_c, n_p)
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    how = draw(st.sampled_from(("optimal", "positive", "dropped", "permuted")))
+    if how == "positive":
+        keep = w[rows, cols] > 0.0
+    elif how == "dropped":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), dtype=bool)
+    else:
+        keep = np.ones(len(rows), dtype=bool)
+        if how == "permuted":
+            cols = cols[draw(st.permutations(range(len(cols))))]
+    return w, rows[keep], cols[keep]
+
+
+def single_pair_over_nine_free_customers():
+    """A 10x1 market of zeros, -0.0 on the matched pair and on the third free
+    customer: numpy reduces the nine free weights in SIMD lanes, and on an
+    AVX-512 host returns that -0.0, not the last operand's 0.0."""
+    w = np.zeros((10, 1))
+    w[0, 0] = w[3, 0] = -0.0
+    return w, np.array([0]), np.array([0])
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(small_dual_cases())
+@example(single_pair_over_nine_free_customers())
+def test_small_market_duals_equal_numpy_pass(case):
+    w, ci, pj = case
+    try:
+        want = market._duals_numpy(w, ci, pj)
+    except UncertifiedDuals as exc:
+        with pytest.raises(UncertifiedDuals) as got:
+            _duals_for_matching(w, ci, pj)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_bytes(_duals_for_matching(w, ci, pj), want)
+
+
+@pytest.mark.parametrize(
+    "shape, numpy_passes",
+    [((1, 16), 0), ((16, 1), 1), ((2, 8), 0), ((4, 4), 0), ((1, 17), 1), ((17, 1), 1), ((3, 6), 1)],
+)
+def test_numpy_pass_above_sixteen_cells(monkeypatch, shape, numpy_passes):
+    # Weight 1 on the diagonal and -1 elsewhere: every agent of the shorter
+    # side is matched. A single pair over 15 free customers (16x1) is the one
+    # small market that keeps the numpy pass.
+    calls = []
+    numpy_pass = market._duals_numpy
+
+    def counted(*args):
+        calls.append(1)
+        return numpy_pass(*args)
+
+    monkeypatch.setattr(market, "_duals_numpy", counted)
+    joint = np.full(shape, -1.0)
+    np.fill_diagonal(joint, 1.0)
+    rows, cols, p_c, p_p = assignment_with_duals(joint)
+    assert len(rows) == min(shape) and len(calls) == numpy_passes
+    assert p_c.sum() + p_p.sum() == min(shape) * 1.0
 
 
 # -- NTU selection -------------------------------------------------------------
