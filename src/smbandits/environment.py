@@ -9,7 +9,6 @@ instance; ``sweep`` fans replicas out over seeds and cells.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -539,7 +538,10 @@ def sweep(cells: list[SweepCell], threads: int = 1) -> dict[str, dict[int, Regre
     jobs = [(cell, seed) for cell in cells for seed in cell.seeds]
     results: dict[str, dict[int, RegretTrace]] = {cell.name: {} for cell in cells}
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Under fork, the pool starts all max_workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             for name, seed, trace in pool.map(_run_cell_seed, jobs):
                 results[name][seed] = trace
     else:

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import TooLarge
 from .market import (
@@ -31,6 +30,7 @@ from .market import (
     _ntu_stable,
     assignment_pairs,
     assignment_with_duals,
+    linear_sum_assignment,
     ntu_gains,
 )
 

@@ -8,15 +8,60 @@ which is exactly the primal-dual pair that characterizes stable outcomes.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidOutcome, NoAlternative, UncertifiedDuals
+
+
+def _lsap_extension():
+    """The extension module ``scipy.optimize._lsap``, loaded from its file."""
+    lsap = sys.modules.get("scipy.optimize._lsap")
+    if lsap is None:
+        scipy = importlib.util.find_spec("scipy")
+        dirs = scipy.submodule_search_locations if scipy else None
+        spec = dirs and importlib.machinery.PathFinder.find_spec(
+            "scipy.optimize._lsap", [os.path.join(d, "optimize") for d in dirs]
+        )
+        if not spec or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+            raise ImportError("scipy.optimize._lsap: no extension module found")
+        lsap = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lsap)
+        sys.modules[spec.name] = lsap
+    return lsap
+
+
+def _load_linear_sum_assignment():
+    """scipy's assignment kernel, without importing ``scipy.optimize``.
+
+    ``scipy.optimize.linear_sum_assignment`` is a builtin of the extension
+    module ``scipy.optimize._lsap``, but the package's ``__init__`` imports
+    scipy.linalg, linprog and more: 0.4 s of this package's 0.5 s cold import
+    on a 2-core x86-64 box with scipy 1.17.1. So
+    the extension is loaded from its file, with neither ``scipy/__init__`` nor
+    ``scipy/optimize/__init__`` run, and registered under its own name, where
+    a later ``import scipy.optimize`` finds and reuses it. Once scipy.optimize
+    is imported, its function is taken; if the load fails, the public import.
+    """
+    if "scipy.optimize" not in sys.modules:
+        try:
+            return _lsap_extension().linear_sum_assignment
+        except (ImportError, AttributeError, ValueError):
+            pass  # the public import below loads the kernel, or says why it cannot
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 TOL = 1e-9
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -264,6 +265,33 @@ class TestSweep:
         for name in serial:
             for seed in serial[name]:
                 assert np.array_equal(serial[name][seed].instability, parallel[name][seed].instability)
+
+    def test_pool_never_larger_than_the_replicas(self, monkeypatch):
+        # Under fork a pool starts all its workers at the first submit; this
+        # recorder runs the jobs in this process and starts none.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        serial = sweep(self._cells())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for threads in (64, 4, 2):
+            pooled = sweep(self._cells(), threads=threads)
+            for name in serial:
+                for seed in serial[name]:
+                    assert np.array_equal(serial[name][seed].instability, pooled[name][seed].instability)
+        assert sizes == [4, 4, 2]
 
     def test_round_guard(self):
         spec = PolicySpec("match_ucb")

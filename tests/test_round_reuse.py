@@ -19,7 +19,8 @@ from conftest import trace_digest
 from smbandits import environment as env
 from smbandits import policies as pol
 from smbandits.confidence import ConfidenceConfig, TypedConfidence, UnstructuredConfidence
-from smbandits.market import MarketOutcome
+from smbandits.instability import subset_instability_and_stability
+from smbandits.market import Matching, MarketOutcome
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -195,3 +196,26 @@ def test_reused_revenue_round_judges_its_published_outcome(monkeypatch):
     assert trace.reused_rounds == 5
     assert trace.stable_truth.tolist() == [True, False] * 3
     assert len(set(trace.instability.tolist())) == 1
+
+
+def test_replay_needs_the_same_arrivals(monkeypatch):
+    # One scored outcome object every round, on a schedule that alternates two
+    # arrival sets that both hold its matched agents: only a round that repeats
+    # the arrivals of the round before may copy its judgement.
+    small, full = ((0, 1), (0, 1)), ((0, 1, 2), (0, 1, 2))
+    schedule = (small, full, full, small, small, small, full, small)
+    instance = env.gen_instance("unstructured", 3, 3, 0, arrival=env.ArrivalSpec(kind="fixed", schedule=schedule))
+    outcome = MarketOutcome(Matching([(0, 1), (1, 0)]), np.array([0.3, -0.2, 0.0]), np.array([0.2, -0.3, 0.0]))
+    monkeypatch.setattr(pol.MatchUcbPolicy, "_select", lambda self, arrivals: pol.RoundDecision(outcome, 0.0, 0.0, 0.0))
+    horizon = 2 * len(schedule)
+    trace = env.run(instance, env.PolicySpec("match_ucb"), horizon)
+    rounds = [schedule[t % len(schedule)] for t in range(horizon)]
+    assert trace.reused_rounds == sum(a == b for a, b in zip(rounds, rounds[1:]))
+    for t, (cust, prov) in enumerate(rounds):
+        cust, prov = np.array(cust), np.array(prov)
+        want = subset_instability_and_stability(
+            instance.truth.restrict(cust, prov), env._restrict_outcome(outcome, cust, prov)
+        )
+        assert (trace.instability[t], trace.stable_truth[t]) == want, t
+    # The two submarkets judge the outcome differently.
+    assert len(set(trace.instability.tolist())) == 2
