@@ -17,7 +17,7 @@ from . import policies as pol
 from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
 from .errors import ConfigError, TooLarge
 # subset_instability_value is not called here; perfbench/tracer.py patches this name.
-from .instability import ntu_subset_instability, subset_instability_value, tu_judgements
+from .instability import ntu_judgements, ntu_subset_instability, subset_instability_value, tu_judgements
 from .market import (
     TOL,
     Matching,
@@ -31,8 +31,10 @@ from .market import (
 
 _TOTAL_ROUNDS_GUARD = 20_000_000
 
-# run judges a block of rounds once its gain, snapshot and rewritten cells, plus one per round, reach this count.
+# run judges a block of rounds once its gain, snapshot and rewritten cells, plus one per round, reach this count,
+# or once it holds this many rounds, which bounds its queued Python objects and its NTU stacks on small markets.
 _BLOCK_CELLS = 2**16
+_BLOCK_ROUNDS = 512
 
 _STREAM_ARRIVALS = 1
 _STREAM_NOISE = 2
@@ -313,11 +315,11 @@ def run(
     """Execute one replica: deterministic in (instance.seed, spec, horizon).
 
     A round does only what the learner reads: arrivals, ``policy.step`` and the decision's width, bound and
-    revenue. The rest waits for the end of a block of rounds (``_BLOCK_CELLS``): ``_judge_block`` judges each
-    round that does not score the very outcome object of the round before on bytewise the same arrivals (those
-    copy its judgement), ``_containment`` reads the positions each ``update`` rewrote (``conf.written``; the sets
-    change through nothing else), and a ``revenue_frictions`` round's ``stable_truth`` is the eps-stability of its
-    published outcome at the policy's fee. ``record_outcomes`` keeps each round's scored outcome on the trace.
+    revenue. The rest waits for the end of a block of rounds (``_BLOCK_CELLS``, ``_BLOCK_ROUNDS``): ``_judge_block``
+    judges each round that does not score the very outcome object of the round before on bytewise the same arrivals
+    (those copy its judgement), ``_containment`` reads the positions each ``update`` rewrote (``conf.written``; the
+    sets change through nothing else), and a ``revenue_frictions`` round's ``stable_truth`` is the eps-stability of
+    its published outcome at the policy's fee. ``record_outcomes`` keeps each round's scored outcome on the trace.
     """
     policy = spec.build(instance, horizon)
     conf = policy.conf
@@ -376,7 +378,7 @@ def run(
         if decision.info is not None:
             infos.append(decision.info)
         cells += 1
-        if cells < _BLOCK_CELLS and t < horizon - 1:
+        if cells < _BLOCK_CELLS and t - start < _BLOCK_ROUNDS - 1 and t < horizon - 1:
             continue
         block = slice(start, t + 1)
         trace.containment[block] = _containment(values, records, snaps)
@@ -395,22 +397,24 @@ def run(
 
 
 def _judge_block(trace: RegretTrace, truth: UtilityMatrix, judged: list[tuple], ntu: bool) -> None:
-    """Judge each (scored outcome, customers, providers, round) of ``judged``: one ``tu_judgements`` call per
-    arrival shape, or one NTU round at a time. A ``bound_only`` round's instability is left to the caller."""
-    if ntu:
-        for outcome, cust, prov, t in judged:
-            truth_sub, matching = truth.restrict(cust, prov), _restrict_outcome(outcome, cust, prov).matching
-            try:
-                report = ntu_subset_instability(truth_sub, matching)
-                trace.instability[t], trace.stable_truth[t] = report.value, report.stable
-            except TooLarge:
-                trace.stable_truth[t], trace.bound_only[t] = is_stable_ntu(truth_sub, matching), True
-        return
+    """Judge each (scored outcome, customers, providers, round) of ``judged``, by arrival shape: one ``tu_judgements``
+    call, or ``ntu_judgements`` and then ``ntu_subset_instability`` on each round it leaves; ``bound_only`` waits."""
     shapes: dict[tuple, list[tuple]] = {}
     for item in judged:
         shapes.setdefault((len(item[1]), len(item[2])), []).append(item)
     for shape, items in shapes.items():
         outcomes, cust, prov, rounds = (list(column) for column in zip(*items))
+        if ntu:
+            stacked = ntu_judgements(truth, [o.matching for o in outcomes], np.array(cust), np.array(prov))
+            trace.instability[rounds], trace.stable_truth[rounds], exact = stacked
+            for outcome, c, p, t in (item for item, done in zip(items, exact) if not done):
+                truth_sub, matching = truth.restrict(c, p), _restrict_outcome(outcome, c, p).matching
+                try:
+                    report = ntu_subset_instability(truth_sub, matching)
+                    trace.instability[t], trace.stable_truth[t] = report.value, report.stable
+                except TooLarge:
+                    trace.stable_truth[t], trace.bound_only[t] = is_stable_ntu(truth_sub, matching), True
+            continue
         # Arrivals are sorted and distinct, so a full shape lists every agent.
         arrivals = () if shape == (truth.num_customers, truth.num_providers) else (np.array(cust), np.array(prov))
         trace.instability[rounds], trace.stable_truth[rounds] = tu_judgements(truth, outcomes, *arrivals)

@@ -36,6 +36,9 @@ from .market import (
 
 _BRUTE_FORCE_MAX_AGENTS = 12
 _NTU_EXACT_MAX_CUSTOMERS = 8
+# ntu_judgements stacks one arrival shape (a, b) from this many rounds, and up to (b + 1)**a * b cells.
+_NTU_STACK_ROUNDS = 3
+_NTU_STACK_CELLS = 512
 _NTU_BRUTE_MAX_SIDE = 6
 
 
@@ -110,15 +113,22 @@ def tu_judgements(
         joint = joint[customers[:, :, None], providers[:, None, :]]
     if np.abs(resid).max(initial=0.0) > TOL:
         outcomes[int(np.argmax((np.abs(resid) > TOL).any(axis=1)))].check_zero_sum()
-    g, f, h = _gains(joint, tau)
+    values, g = _subset_instabilities(joint, tau)
+    # is_stable_tu's test on the same payoffs, in g's place.
+    return values, _inequalities_hold(tau, joint, out=g)
+
+
+def _subset_instabilities(joint: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric of each row of net payoffs q (R, n_c + n_p), customers first, against joint weights (n_c, n_p) or
+    (R, n_c, n_p), one rectangular solve per row, and the pair gains g it leaves free for reuse."""
+    g, f, h = _gains(joint, q)
     np.maximum(h, 0.0, out=h)  # positive exactly where the reduced gain is
     solved = [linear_sum_assignment(m, maximize=True) for m in h]
     rows, cols = (np.concatenate(side) for side in zip(*solved))
     rr = np.repeat(np.arange(len(solved)), [len(r) for r, _ in solved])
     keep = h[rr, rows, cols] > 0.0
     total = _terms_sum(g, f, rows[keep], cols[keep], rr[keep])
-    # is_stable_tu's test on the same payoffs, in g's place.
-    return np.where(total > 0.0, total, 0.0), _inequalities_hold(tau, joint, out=g)
+    return np.where(total > 0.0, total, 0.0), g
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
@@ -254,7 +264,7 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
     if n_c > _NTU_EXACT_MAX_CUSTOMERS:
         raise TooLarge(f"exact NTU solver is limited to {_NTU_EXACT_MAX_CUSTOMERS} customers")
     mu_c, mu_p, gain_c, gain_p = ntu_gains(u, matching)
-    stable = _ntu_stable(mu_c, mu_p, gain_c, gain_p)
+    stable = bool(_ntu_stable(mu_c, mu_p, gain_c, gain_p))
     ir_c, ir_p = np.maximum(0.0, -mu_c), np.maximum(0.0, -mu_p)
 
     if n_p == 0 or n_c == 0:
@@ -288,6 +298,42 @@ def ntu_subset_instability(u: UtilityMatrix, matching: Matching) -> NtuInstabili
     s_c = best_sc
     s_p = _ntu_forced_providers(s_c, gain_c, gain_p, ir_p)
     return NtuInstabilityReport(float(s_c.sum() + s_p.sum()), s_c, s_p, stable)
+
+
+def ntu_judgements(u: UtilityMatrix, matchings: list, customers: np.ndarray, providers: np.ndarray) -> tuple:
+    """``ntu_subset_instability``'s value and stable flag of each matching of ``u`` on the submarket of the sorted
+    agents in row r of ``customers`` (R, a) and ``providers`` (R, b), and a mask of the rows they are exact for: none
+    below the crossover or above the cap, else those whose first leaf within 1e-15 of the least total beats every
+    leaf before it by more than 1e-15 and whose leaves total at least the prefix bounds the search prunes on."""
+    R, a, b = len(matchings), customers.shape[1], providers.shape[1]
+    if R < _NTU_STACK_ROUNDS or a > _NTU_EXACT_MAX_CUSTOMERS or (b + 1) ** a * b > _NTU_STACK_CELLS:
+        return np.zeros(R), np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
+    rows, pairs = np.arange(R), [m.index_arrays for m in matchings]
+    (ci, pj), rr = (np.concatenate(side) for side in zip(*pairs)), np.repeat(rows, [len(c) for c, _ in pairs])
+    mu_c, mu_p = np.zeros((R, u.num_customers)), np.zeros((R, u.num_providers))
+    mu_c[rr, ci], mu_p[rr, pj] = u.customer_values[ci, pj], u.provider_values[pj, ci]
+    mu_c, mu_p = mu_c[rows[:, None], customers], mu_p[rows[:, None], providers]
+    sub = (customers[:, :, None], providers[:, None, :])
+    gain_c, gain_p = u.customer_values[sub] - mu_c[:, :, None], u.provider_values.T[sub] - mu_p[:, None, :]
+    ir_c, ir_p = np.maximum(0.0, -mu_c), np.maximum(0.0, -mu_p)
+    # A customer's candidates: its floor and its positive gains (its own pair's is 0.0), sorted, with the search's +0.0
+    # for an unmatched floor's -0.0; a repeat, or a value below the floor by more than 1e-15, is none and weighs inf.
+    # Digit i of a leaf's index in base b + 1 is customer i's slot, so leaves run in the search's order.
+    slots = np.sort(np.concatenate((ir_c[:, :, None], np.where(gain_c > 0.0, gain_c, 0.0)), 2), 2) + 0.0
+    slots[(slots < ir_c[:, :, None] - 1e-15) | (np.diff(slots, axis=2, prepend=-np.inf) == 0.0)] = np.inf
+    tail = np.cumsum(slots.min(2)[:, ::-1], 1)[:, ::-1]  # the search's tail_min
+    needs = np.where(gain_c[:, :, None, :] - slots[:, :, :, None] > TOL, gain_p[:, :, None, :], -np.inf)
+    partial, low, s_p = np.zeros((R, 1)), np.full((R, 1), -np.inf), ir_p[:, None]
+    for i in range(a):
+        low = np.repeat(np.maximum(low, partial + tail[:, i, None]), b + 1, 1)
+        partial = (partial[:, :, None] + slots[:, i, None, :]).reshape(R, -1)
+        s_p = np.maximum(s_p[:, :, None], needs[:, i, None]).reshape(*partial.shape, b)  # forced provider subsidies
+    total = partial + s_p.sum(2)  # no zero's sign reaches a sum, which starts at +0.0
+    k = (total - 1e-15 <= total.min(1)[:, None]).argmax(1)
+    exact = (k == 0) | (total[rows, k] < np.minimum.accumulate(total, 1)[rows, k - 1] - 1e-15)
+    exact &= (total >= low + ir_p.sum(1)[:, None]).all(1)
+    s_c = slots[rows[:, None], np.arange(a), k[:, None] // (b + 1) ** np.arange(a - 1, -1, -1) % (b + 1)]
+    return s_c.sum(1) + s_p[rows, k].sum(1), _ntu_stable(mu_c, mu_p, gain_c, gain_p), exact
 
 
 def ntu_subset_instability_bruteforce(u: UtilityMatrix, matching: Matching) -> float:

@@ -564,10 +564,9 @@ def ntu_gains(u: UtilityMatrix, matching: Matching) -> tuple[np.ndarray, np.ndar
 
 def is_stable_ntu(u: UtilityMatrix, matching: Matching) -> bool:
     """Stability without transfers: IR plus no pair where both strictly gain."""
-    return _ntu_stable(*ntu_gains(u, matching))
+    return bool(_ntu_stable(*ntu_gains(u, matching)))
 
 
-def _ntu_stable(mu_c: np.ndarray, mu_p: np.ndarray, gain_c: np.ndarray, gain_p: np.ndarray) -> bool:
-    if (mu_c.size and mu_c.min() < -TOL) or (mu_p.size and mu_p.min() < -TOL):
-        return False
-    return not (gain_c.size and np.minimum(gain_c, gain_p).max() > TOL)
+def _ntu_stable(mu_c: np.ndarray, mu_p: np.ndarray, gain_c: np.ndarray, gain_p: np.ndarray) -> np.ndarray:
+    """:func:`is_stable_ntu` from :func:`ntu_gains`, or of each row of their stacks (R, ...)."""
+    return ~((mu_c < -TOL).any(-1) | (mu_p < -TOL).any(-1) | (np.minimum(gain_c, gain_p) > TOL).any((-2, -1)))

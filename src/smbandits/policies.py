@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import ConfidenceSets, TypedConfidence, UnstructuredConfidence
+from .instability import _subset_instabilities
 from .market import (
     TOL,
     Matching,
@@ -353,8 +354,15 @@ class EtcPolicy(Policy):
         self._offset = (self._offset + 1) % modulus
         matching = Matching(pairs)
         outcome = MarketOutcome.ntu(matching, self.conf.num_customers, self.conf.num_providers)
-        w = self.conf.width_sum(matching)
-        return RoundDecision(outcome, w, w, 0.0)
+        # Forced pairs with zero transfers are not stable for the upper bounds, so their width bounds nothing. With
+        # the truth in the sets, their instability is at most the metric of the arrived joint upper bounds against
+        # the matched payoffs at the lower bounds.
+        ci, pj = matching.index_arrays
+        q_c, q_p = np.zeros(self.conf.num_customers), np.zeros(n_p)
+        q_c[ci], q_p[pj] = self.conf.lo_c[ci, pj], self.conf.lo_p[pj, ci]
+        joint = UtilityMatrix._trusted(self.conf.hi_c, self.conf.hi_p).restrict(cust, prov).joint()
+        bound = float(_subset_instabilities(joint, np.concatenate((q_c[cust], q_p[prov]))[None])[0][0])
+        return RoundDecision(outcome, self.conf.width_sum(matching), bound, 0.0)
 
     def _learn(self, matching: Matching, observations: tuple[np.ndarray, np.ndarray]) -> None:
         if not self.committed:

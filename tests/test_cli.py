@@ -292,6 +292,13 @@ class TestRunCommand:
         golden = Path(__file__).parent / "golden" / "golden_trace.csv"
         assert (out / "golden_trace.csv").read_bytes() == golden.read_bytes()
 
+    def test_golden_ntu_trace_unchanged(self, tmp_path):
+        # The committed NTU config of the CI console-script step: 3x3
+        # match_ntu_ucb on iid arrivals, whose rounds are judged in blocks.
+        golden = Path(__file__).parent / "golden"
+        main(["run", "--config", str(golden / "ntu_iid_config.json"), "--out", str(tmp_path)])
+        assert (tmp_path / "ntu_iid_trace.csv").read_bytes() == (golden / "ntu_iid_trace.csv").read_bytes()
+
     def test_fig1_fixture_full_csv_shape(self, tmp_path):
         cfg = base_config(
             name="fig1",

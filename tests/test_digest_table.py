@@ -10,7 +10,10 @@ says which.
 
 The benchmark cells are read from ``perfbench/workloads.py`` and run at their
 own horizon and interval constant on seeds 0 and 1; the acceptance cells
-run one seed at the criterion's full horizon.
+run one seed at the criterion's full horizon; the NTU edge cells reach the
+corners of the stacked NTU judgement: iid arrivals on 6x6 (many arrival
+shapes per block, empty sides, shapes of a single round), a quarter-integer
+truth (tied subsidy totals) and one-row and one-column markets.
 """
 
 import importlib.util
@@ -97,6 +100,14 @@ DIGESTS = {
     "imbalanced_hard/hard_k4/1": "daab31ed623409f04344bf03d89e8aaa4b9cc5d363bb7109d8436fa0e043aeda",
     "imbalanced_hard/hard_k8/0": "797b80f01e91b701be46f1124f58171b8d1ea8dbf6e82d8308455e41237fdc02",
     "imbalanced_hard/hard_k8/1": "797b80f01e91b701be46f1124f58171b8d1ea8dbf6e82d8308455e41237fdc02",
+    "ntu/1x4/0": "ce90e4545dfcc647fa19e51b2b58776283a527fe1d542117a108bc2ec93fb789",
+    "ntu/1x4/1": "40cdcdadd5665ec493afd5f065e4a8d030facf4da076354413ab26fc7b48324f",
+    "ntu/4x1/0": "0bcb8be0b64286183c47a924a062ae309542b01c08e04f845a04166d70d0b89f",
+    "ntu/4x1/1": "157b57ba3adb4b23482b14f97b26cbc4216763398b6fc01c4c86b82197438d78",
+    "ntu/iid_6x6/0": "61d43390cac9e830a1488c7a44e3469674c5501cabff6f49370b343bd1ad9310",
+    "ntu/iid_6x6/1": "9044ed24df42efd2a5e13edf2eef1a071ff6cb726f45b14836275d3cbcbdca7c",
+    "ntu/quarter_3x3/0": "2fd03d72c3061c766424d4abceabb2b7aebd1f9fa06724f9a6052101a77c0050",
+    "ntu/quarter_3x3/1": "557a8c7b8fafdf75903e52f1e2158be4707d303444f24f245cd661ee07679271",
     "score_batch/ucb_3x3/0": "c1faa78a710df405fbb4f4d8b74dabe5155ce2ad1e125c5e40afff065c1b8a11",
     "score_batch/ucb_3x3/1": "0aa40a1678f73f4084a03648353709ce0fad0ccd8cc63204629708beef415908",
     "small_square/ntu_3x3/0": "e7e102a5554a9795ff9660ad0e4e9bb0442e46ac757fe5d58283de232dae3463",
@@ -116,8 +127,43 @@ DIGESTS = {
 }
 
 
+# Quarters give tied subsidy totals; the negative entries give positive floors.
+QUARTER_TRUTH = UtilityMatrix(
+    np.array([[0.5, -0.25, 0.75], [0.25, 0.5, -0.5], [-0.75, 0.25, 0.5]]),
+    np.array([[0.25, -0.5, 0.5], [0.75, 0.25, -0.25], [-0.25, 0.5, 0.25]]),
+)
+
+
+def ntu_edge_runs():
+    """``ntu/cell/seed``: ``match_ntu_ucb`` on the edge cells, as
+    :func:`benchmark_runs` gives them. At interval constant 1 nearly every
+    round of the small cells is judged; at 8 their sets stay clipped and one
+    matching is replayed."""
+    ntu, narrow = env.PolicySpec("match_ntu_ucb"), env.PolicySpec("match_ntu_ucb", ConfidenceConfig(ucb_scale=1.0))
+    iid = env.ArrivalSpec(kind="iid_subset", probability=0.5)
+    runs = {}
+    for seed in (0, 1):
+        runs[f"ntu/iid_6x6/{seed}"] = lambda seed=seed: (
+            env.gen_instance("unstructured", 6, 6, seed, arrival=iid),
+            ntu,
+            400,
+        )
+        runs[f"ntu/quarter_3x3/{seed}"] = lambda seed=seed: (
+            env.MarketInstance(QUARTER_TRUTH, env.UnstructuredClass(), env.ArrivalSpec(), env.NoiseSpec(), seed),
+            narrow,
+            400,
+        )
+        for n_c, n_p in ((1, 4), (4, 1)):
+            runs[f"ntu/{n_c}x{n_p}/{seed}"] = lambda n_c=n_c, n_p=n_p, seed=seed: (
+                env.gen_instance("unstructured", n_c, n_p, seed, arrival=iid),
+                narrow,
+                300,
+            )
+    return runs
+
+
 def all_runs():
-    return {**benchmark_runs(), **acceptance_runs()}
+    return {**benchmark_runs(), **acceptance_runs(), **ntu_edge_runs()}
 
 
 def test_table_lists_every_run():

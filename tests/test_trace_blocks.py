@@ -4,8 +4,10 @@ and the size of a block moves no bit of a trace.
 ``_BLOCK_CELLS`` is patched down: at 1, 2 and 3 every round's cells reach
 the cap, so each block holds one round and every replay copies a judgement
 from an earlier block; at 60 and 700 blocks hold a few to a few dozen rounds.
-Every trace column, recorded outcome, ``info`` column and ``reused_rounds``
-must equal those of the run with the module's own cap.
+``_BLOCK_ROUNDS`` is patched to 1, 2 and 3 rounds, and to the horizon, where
+only the cell cap ends a block. Every trace column, recorded outcome,
+``info`` column and ``reused_rounds`` must equal those of the run with the
+module's own caps.
 """
 
 import hashlib
@@ -42,6 +44,8 @@ CASES = {
     # Nine customers exceed the exact NTU solver: every round is bound_only.
     "ntu_bound_only_9x9": (unstructured(9, 9), env.PolicySpec("match_ntu_ucb"), 40),
     "ntu_3x3": (unstructured(3, 3), env.PolicySpec("match_ntu_ucb"), 150),
+    # Most rounds judged, in several arrival shapes, past the module's round cap.
+    "ntu_iid_4x4": (unstructured(4, 4, IID), env.PolicySpec("match_ntu_ucb", ConfidenceConfig(ucb_scale=1.0)), 700),
     "revenue_frictions": (unstructured(3, 3), env.PolicySpec("revenue_frictions"), 150),
     "fixed_ucb": (unstructured(3, 3, SCHEDULE), env.PolicySpec("match_ucb"), 100),
     "fixed_ntu": (unstructured(3, 3, SCHEDULE), env.PolicySpec("match_ntu_ucb"), 100),
@@ -69,11 +73,11 @@ def test_block_size_moves_no_bit(monkeypatch, name):
     for seed in (0, 1):
         instance = make(seed)
         base = env.run(instance, spec, horizon, record_outcomes=True)
-        for cap in CAPS:
+        for limit, cap in [("_BLOCK_CELLS", cap) for cap in CAPS] + [("_BLOCK_ROUNDS", r) for r in (1, 2, 3, horizon)]:
             with monkeypatch.context() as patch:
-                patch.setattr(env, "_BLOCK_CELLS", cap)
+                patch.setattr(env, limit, cap)
                 blocked = env.run(instance, spec, horizon, record_outcomes=True)
-            assert full_digest(blocked) == full_digest(base), f"{name} seed {seed} cap {cap}"
+            assert full_digest(blocked) == full_digest(base), f"{name} seed {seed} {limit} {cap}"
         if name.startswith(("replay", "hard", "fixed", "revenue")):
             assert base.reused_rounds > 0
         if name == "ntu_bound_only_9x9":

@@ -7,10 +7,10 @@ branch. Criterion 4 checks this on 3x3 ``match_ucb`` only; the property below
 draws the policy kind, the shape, the interval constant and the arrivals.
 
 ``etc`` plays forced pairs with zero transfers while it explores. Such an
-outcome is not stable for the upper bounds, and the width of its pairs bounds
-nothing, so the property holds ``etc`` to its committed rounds only;
-``test_etc_exploration_round_bound`` records a round where the width falls
-short.
+outcome is not stable for the upper bounds, so its bound is the metric of the
+arrived joint upper bounds against the matched payoffs at the lower bounds;
+``test_etc_exploration_round_bound`` pins rounds where the width of the
+forced pairs falls short of the instability.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smbandits import environment as env
-from smbandits import policies as pol
 from smbandits.confidence import ConfidenceConfig
 
 CLASS = {"match_typed_ucb": "typed", "match_lin_ucb": "linear"}
@@ -29,25 +28,10 @@ EXPANDED = dict(kind="match_ucb_prime", n_c=2, n_p=2, constant=1.0, arrival=ARRI
 
 
 def certified_rounds(kind, n_c, n_p, constant, arrival, seed, horizon):
-    """The trace, and the rounds the certificate covers: contained, not
-    ``bound_only`` and, for ``etc``, committed."""
+    """The trace, and the rounds the certificate covers: contained and not ``bound_only``."""
     instance = env.gen_instance(CLASS.get(kind, "unstructured"), n_c, n_p, seed, arrival=arrival)
-    spec = env.PolicySpec(kind, ConfidenceConfig(ucb_scale=constant))
-    committed = []
-    select = pol.EtcPolicy._select
-
-    def recording_select(self, arrivals):
-        decision = select(self, arrivals)
-        committed.append(self.committed)
-        return decision
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pol.EtcPolicy, "_select", recording_select)
-        trace = env.run(instance, spec, horizon)
-    covered = trace.containment & ~trace.bound_only
-    if kind == "etc":
-        covered &= np.array(committed)
-    return trace, covered
+    trace = env.run(instance, env.PolicySpec(kind, ConfidenceConfig(ucb_scale=constant)), horizon)
+    return trace, trace.containment & ~trace.bound_only
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
@@ -72,8 +56,16 @@ def test_expanded_example_needs_twice_the_width():
     assert (trace.instability[expanded] > trace.width_sum[expanded] + 1e-9).any()
 
 
-@pytest.mark.xfail(strict=True, reason="etc reports its width as the bound of a forced exploration round")
-def test_etc_exploration_round_bound():
-    trace, _ = certified_rounds("etc", 2, 3, 8.0, ARRIVALS[1], 1, 60)
-    contained = trace.containment & ~trace.bound_only
-    assert (trace.instability[contained] <= trace.certified_bound[contained] + 1e-9).all()
+@pytest.mark.parametrize(
+    "n_c, n_p, constant, arrival, seed",
+    [
+        # Ten contained rounds play the empty matching: no forced pair arrived.
+        (2, 3, 8.0, ARRIVALS[1], 1),
+        # A negative pair value: two rounds are more unstable than their width.
+        (1, 1, 0.25, ARRIVALS[0], 0),
+    ],
+)
+def test_etc_exploration_round_bound(n_c, n_p, constant, arrival, seed):
+    trace, covered = certified_rounds("etc", n_c, n_p, constant, arrival, seed, 60)
+    assert (trace.instability[covered] <= trace.certified_bound[covered] + 1e-9).all()
+    assert (trace.instability[covered] > trace.width_sum[covered] + 1e-9).sum() >= 2
