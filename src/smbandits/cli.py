@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -75,20 +76,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _list_encoder(separator: str):
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
 def _indented(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``. A list whose first item is not a
-    list must hold scalars only; it goes through the C encoder, which ``indent`` bypasses. Any other
-    list holds the ``[i, j]`` int pairs of ``blocking_pairs``, written directly."""
+    list must hold scalars only; it goes through a C encoder cached per indent, which ``indent`` would
+    bypass. Any other list holds the ``[i, j]`` int pairs of ``blocking_pairs``, written directly."""
     if not (isinstance(value, (dict, list)) and value):
         return json.dumps(value)
     inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        body = (",\n" + inner).join(f"{json.dumps(key)}: {_indented(value[key], inner)}" for key in sorted(value))
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in sorted(value.items()))
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(value[0], list):
-        body = (",\n" + inner).join([f"[\n{inner}  {i},\n{inner}  {j}\n{inner}]" for i, j in value])
+        body = sep.join([f"[\n{inner}  {i},\n{inner}  {j}\n{inner}]" for i, j in value])
     else:
-        body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        body = _list_encoder(sep)(value)[1:-1]
     return f"[\n{inner}{body}\n{pad}]"
 
 
@@ -122,7 +129,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             "max_coalition_unhappiness": report.value,
             "coalition": witness,
             "witness_subset": witness,
-            "blocking_pairs": np.column_stack(report.blocking_pairs).tolist(),
+            "blocking_pairs": [[i, j] for i, j in zip(*(side.tolist() for side in report.blocking_pairs))],
         }
     print(_indented(payload, ""))
     return 0
@@ -230,7 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later
     ``main`` call: ``parse_args`` leaves it unchanged and returns a fresh
-    namespace."""
+    namespace. Its ``commands`` maps each command to the command's own parser."""
     parser = argparse.ArgumentParser(
         prog="smbandits",
         description="Matching-market bandit simulator: run experiments, score outcomes, verify invariants.",
@@ -270,12 +277,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int, default=200, help="randomized cases, at least 0")
     p_verify.set_defaults(func=cmd_verify)
 
+    parser.commands = {"run": p_run, "score": p_score, "verify": p_verify}
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's own parser reads its words once; any other argv, or words left over, takes the full parser.
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if command else (None, [])
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SmbError as exc:

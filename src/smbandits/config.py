@@ -148,6 +148,8 @@ def _outcome(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
         tau = _number_array(obj[key], f"{path}: {key}", 1) if key in obj else np.zeros(n)
         if tau.shape != (n,):
             raise ConfigError(f"{path}: {key}: expected length {n}, got {tau.shape[0]}")
+        if ntu and tau.any():
+            raise ConfigError(f"{path}: {key}: an NTU outcome has no transfers, so every entry must be 0")
         transfers.append(tau)
     return MarketOutcome(matching, *transfers), ntu
 

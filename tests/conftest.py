@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from smbandits.market import Matching, MarketOutcome, UtilityMatrix, is_stable_tu
@@ -43,6 +44,32 @@ def random_zero_sum_outcome(rng: np.random.Generator, u: UtilityMatrix) -> Marke
         tau_c[i] = x
         tau_p[j] = -x
     return MarketOutcome(matching, tau_c, tau_p)
+
+
+def entries(ties: bool, bound: int):
+    """Quarter-integers in [-bound/4, bound/4] (tie-heavy), or floats in
+    [-bound/4, bound/4]."""
+    if ties:
+        return st.integers(-bound, bound).map(lambda x: x / 4.0)
+    return st.floats(-bound / 4.0, bound / 4.0, allow_nan=False)
+
+
+@st.composite
+def tu_markets_and_outcomes(draw, shapes=st.tuples(st.integers(1, 6), st.integers(1, 6))):
+    """A market of a shape drawn from ``shapes`` (up to 6x6 by default) and a zero-sum outcome on a random
+    matching; half the markets hold quarter-integers only, so they are full of ties."""
+    n_c, n_p = draw(shapes)
+    ties = draw(st.booleans())
+    cv = draw(st.lists(entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
+    pv = draw(st.lists(entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
+    u = UtilityMatrix(np.reshape(cv, (n_c, n_p)), np.reshape(pv, (n_p, n_c)))
+    k = draw(st.integers(0, min(n_c, n_p)))
+    ci = draw(st.permutations(range(n_c)))[:k]
+    pj = draw(st.permutations(range(n_p)))[:k]
+    tau_c, tau_p = np.zeros(n_c), np.zeros(n_p)
+    for i, j, x in zip(ci, pj, draw(st.lists(entries(ties, 6), min_size=k, max_size=k))):
+        tau_c[i], tau_p[j] = x, -x
+    return u, MarketOutcome(Matching(zip(ci, pj)), tau_c, tau_p)
 
 
 def brute_force_matchings(n_c: int, n_p: int):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smbandits
+from conftest import tu_markets_and_outcomes
 from smbandits.cli import _indented, build_parser, main
 from smbandits.config import load_config, parse_config
 from smbandits.environment import sweep
-from smbandits.errors import ConfigError
+from smbandits.errors import ConfigError, SmbError
+from smbandits.instability import ntu_subset_instability, subset_instability, utility_difference
+from smbandits.market import Matching, MarketOutcome, UtilityMatrix
 
 FIG1_INSTANCE = {
     "customer_values": [[9.0, 12.0]],
@@ -484,6 +489,29 @@ class TestScoreCommand:
         assert err == f"error: {outc}: customer_transfers, provider_transfers: {message}\n"
 
     @pytest.mark.parametrize(
+        "transfers, key",
+        [
+            ({"customer_transfers": [5.0, 0, -5.0], "provider_transfers": [0, 0, 0]}, "customer_transfers"),
+            ({"provider_transfers": [0, 1e-300, 0]}, "provider_transfers"),
+        ],
+        ids=["customer", "provider"],
+    )
+    def test_ntu_outcome_with_transfers_rejected(self, tmp_path, capsys, transfers, key):
+        # NTU scoring has no transfers to read, so a nonzero one would be dropped without a word.
+        outc = write_json(tmp_path / "outc.json", {"matching": [[0, 1], [2, 0]], "ntu": True, **transfers})
+        assert main(["score", "--instance", str(GOLDEN / "score_ntu_instance.json"), "--outcome", str(outc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {outc}: {key}: ") and captured.err.count("\n") == 1
+
+    def test_ntu_outcome_with_zero_transfers_accepted(self, tmp_path, capsys):
+        golden = json.loads((GOLDEN / "score_ntu_outcome.json").read_text())
+        zeros = {"customer_transfers": [0, -0.0, 0.0], "provider_transfers": [-0.0, 0, 0]}
+        outc = write_json(tmp_path / "outc.json", {**golden, **zeros})
+        assert main(["score", "--instance", str(GOLDEN / "score_ntu_instance.json"), "--outcome", str(outc)]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / "score_ntu_stdout.json").read_bytes()
+
+    @pytest.mark.parametrize(
         "instance, key",
         [
             ({**SQUARE_INSTANCE, "customer_values": [["a", 0.5], [0.2, 0.8]]}, "customer_values"),
@@ -712,3 +740,117 @@ class TestParserReuse:
             assert proc.stdout == out
             if code == 2:
                 assert proc.stderr == err
+
+
+def full_parser_main(argv: list[str]) -> int:
+    """``main`` with every argv read by the full parser, as a reference."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SmbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def exit_and_output(call, argv, capsys) -> tuple[object, str, str]:
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestArgvLikeFullParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["bogus"],
+            ["score", "-h"],
+            ["score"],
+            ["score", "--instance", "a"],
+            ["score", "--instance", "a", "--outcome", "b", "--bogus"],
+            ["score", "--inst", "a", "--out", "b"],
+            ["score", "--instance=a", "--outcome=b"],
+            ["run", "-h"],
+            ["verify", "--cases", "x"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no words",
+    )
+    def test_exit_code_and_output(self, tmp_path, monkeypatch, capsys, argv):
+        # Files a and b do not exist, so an argv that parses ends in score's error line, which names the path.
+        monkeypatch.chdir(tmp_path)
+        expected = exit_and_output(full_parser_main, argv, capsys)
+        assert exit_and_output(main, argv, capsys) == expected
+        monkeypatch.setattr(sys, "argv", ["smbandits", *argv])
+        assert exit_and_output(lambda _: main(None), None, capsys) == expected
+
+
+def expected_report(u: UtilityMatrix, outcome: MarketOutcome, ntu: bool) -> dict:
+    """The report of ``score``, from the metrics called directly."""
+    if ntu:
+        report = ntu_subset_instability(u, outcome.matching)
+        return {
+            "ntu": True,
+            "instability": report.value,
+            "subsidies_customers": report.subsidies_customers.tolist(),
+            "subsidies_providers": report.subsidies_providers.tolist(),
+        }
+    report = subset_instability(u, outcome)
+    wc, wp = report.witness_subset
+    witness = sorted([f"C{i}" for i in wc.tolist()] + [f"P{j}" for j in wp.tolist()])
+    return {
+        "ntu": False,
+        "instability": report.value,
+        "utility_difference": utility_difference(u, outcome),
+        "subsidy_total": report.subsidy_total(),
+        "subsidies_customers": report.subsidies_customers.tolist(),
+        "subsidies_providers": report.subsidies_providers.tolist(),
+        "max_coalition_unhappiness": report.value,
+        "coalition": witness,
+        "witness_subset": witness,
+        "blocking_pairs": [[int(i), int(j)] for i, j in zip(*report.blocking_pairs)],
+    }
+
+
+def score_stdout(directory: Path, u: UtilityMatrix, outcome: MarketOutcome, ntu: bool) -> str:
+    inst = write_json(
+        directory / "inst.json",
+        {"customer_values": u.customer_values.tolist(), "provider_values": u.provider_values.tolist()},
+    )
+    fields = {"matching": [list(pair) for pair in outcome.matching.pairs]}
+    if ntu:
+        fields["ntu"] = True
+    else:
+        fields["customer_transfers"] = outcome.customer_transfers.tolist()
+        fields["provider_transfers"] = outcome.provider_transfers.tolist()
+    outc = write_json(directory / "outc.json", fields)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["score", "--instance", str(inst), "--outcome", str(outc)]) == 0
+    return out.getvalue()
+
+
+class TestReportThroughMain:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(tu_markets_and_outcomes(), st.booleans())
+    def test_stdout_is_dumps_of_the_metrics(self, tmp_path_factory, case, ntu):
+        u, outcome = case
+        stdout = score_stdout(tmp_path_factory.mktemp("score"), u, outcome, ntu)
+        assert stdout == json.dumps(expected_report(u, outcome, ntu), indent=2, sort_keys=True) + "\n"
+
+    def test_hard_family_4x360(self, tmp_path):
+        # The committed TU golden inputs: a 4x360 hard-family market and an outcome with a blocking pair.
+        inst = json.loads((GOLDEN / "score_tu_instance.json").read_text())
+        outc = json.loads((GOLDEN / "score_tu_outcome.json").read_text())
+        u = UtilityMatrix(np.array(inst["customer_values"]), np.array(inst["provider_values"]))
+        outcome = MarketOutcome(
+            Matching(outc["matching"]), np.array(outc["customer_transfers"]), np.array(outc["provider_transfers"])
+        )
+        assert u.customer_values.shape == (4, 360)
+        expected = expected_report(u, outcome, False)
+        assert expected["blocking_pairs"]
+        assert score_stdout(tmp_path, u, outcome, False) == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_market, random_zero_sum_outcome
+from conftest import entries, random_market, random_zero_sum_outcome, tu_markets_and_outcomes
 from smbandits.errors import InvalidOutcome, TooLarge
 from smbandits.instability import (
     max_unhappiness_coalition,
@@ -23,6 +23,14 @@ from smbandits.market import (
     is_stable_tu,
     max_weight_matching_with_duals,
     stable_outcome_from_duals,
+)
+
+
+# Markets with one customer or one provider are drawn as often as the rest.
+_THIN_OR_RECTANGULAR = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 6)),
+    st.tuples(st.integers(1, 6), st.just(1)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
 )
 
 
@@ -108,19 +116,24 @@ class TestSubsetInstability:
             unstable_seen += not stable
         assert stable_seen > 0 and unstable_seen > 0
 
-    def test_lipschitz_in_utilities(self):
-        rng = np.random.default_rng(24)
-        for _ in range(100):
-            u = random_market(rng, 3, 3)
-            outcome = random_zero_sum_outcome(rng, u)
-            delta_c = rng.uniform(-0.1, 0.1, u.customer_values.shape)
-            delta_p = rng.uniform(-0.1, 0.1, u.provider_values.shape)
-            perturbed = UtilityMatrix(u.customer_values + delta_c, u.provider_values + delta_p)
-            lhs = abs(subset_instability_value(u, outcome) - subset_instability_value(perturbed, outcome))
-            bound = 2.0 * (
-                np.abs(delta_c).max(axis=1).sum() + np.abs(delta_p).max(axis=1).sum()
-            )
-            assert lhs <= bound + 1e-9
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(tu_markets_and_outcomes(_THIN_OR_RECTANGULAR), st.data())
+    def test_lipschitz_in_utilities(self, case, data):
+        """|SI(u') - SI(u)| <= 2 (sum_i max_j |dc_ij| + sum_j max_i |dp_ji|) for the same outcome, on random and
+        tie-heavy markets, under perturbations whose entries are quarter-integers or floats, about half of them 0."""
+        u, outcome = case
+        n_c, n_p = u.num_customers, u.num_providers
+        delta = st.one_of(st.just(0.0), entries(data.draw(st.booleans()), 4))
+        dc = np.reshape(data.draw(st.lists(delta, min_size=n_c * n_p, max_size=n_c * n_p)), (n_c, n_p))
+        dp = np.reshape(data.draw(st.lists(delta, min_size=n_c * n_p, max_size=n_c * n_p)), (n_p, n_c))
+        if data.draw(st.booleans()):
+            # One agent's row alone, where the bound charges one maximum for a whole row and is tightest.
+            row = np.arange(n_c + n_p) == data.draw(st.integers(0, n_c + n_p - 1))
+            dc, dp = np.where(row[:n_c, None], dc, 0.0), np.where(row[n_c:, None], dp, 0.0)
+        perturbed = UtilityMatrix(u.customer_values + dc, u.provider_values + dp)
+        bound = 2.0 * (np.abs(dc).max(axis=1).sum() + np.abs(dp).max(axis=1).sum())
+        for value in (subset_instability_value, lambda *a: subset_instability(*a).value):
+            assert abs(value(perturbed, outcome) - value(u, outcome)) <= bound + 1e-9
 
     def test_utility_difference_lower_bound(self):
         rng = np.random.default_rng(25)
@@ -271,31 +284,6 @@ class TestNtuUpperBound:
             assert exact <= bound + 1e-9
 
 
-def _entries(ties: bool, bound: int):
-    """Quarter-integers in [-bound/4, bound/4] (tie-heavy), or floats in
-    [-bound/4, bound/4]."""
-    if ties:
-        return st.integers(-bound, bound).map(lambda x: x / 4.0)
-    return st.floats(-bound / 4.0, bound / 4.0, allow_nan=False)
-
-
-@st.composite
-def tu_markets_and_outcomes(draw):
-    """A market up to 6x6 and a zero-sum outcome on a random matching."""
-    n_c, n_p = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    ties = draw(st.booleans())
-    cv = draw(st.lists(_entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
-    pv = draw(st.lists(_entries(ties, 4), min_size=n_c * n_p, max_size=n_c * n_p))
-    u = UtilityMatrix(np.reshape(cv, (n_c, n_p)), np.reshape(pv, (n_p, n_c)))
-    k = draw(st.integers(0, min(n_c, n_p)))
-    ci = draw(st.permutations(range(n_c)))[:k]
-    pj = draw(st.permutations(range(n_p)))[:k]
-    tau_c, tau_p = np.zeros(n_c), np.zeros(n_p)
-    for i, j, x in zip(ci, pj, draw(st.lists(_entries(ties, 6), min_size=k, max_size=k))):
-        tau_c[i], tau_p[j] = x, -x
-    return u, MarketOutcome(Matching(zip(ci, pj)), tau_c, tau_p)
-
-
 class TestIdentityProperties:
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(tu_markets_and_outcomes())
@@ -319,3 +307,4 @@ class TestIdentityProperties:
         q_c, q_p = outcome.net_payoffs(u)
         gain = max_weight_matching_with_duals(sub)[0].total_utility(sub) - (q_c[wc].sum() + q_p[wp].sum())
         assert abs(gain - value) <= tol
+
