@@ -31,7 +31,6 @@ from .instability import (
     ntu_subset_instability,
     ntu_subset_instability_bruteforce,
     subset_instability,
-    subset_instability_and_stability,
     subset_instability_bruteforce,
     subset_instability_value,
     utility_difference,

@@ -254,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
             "  num_types (default 3), dim (default 3), horizon, seeds: [ints]\n"
             "  policy.kind: match_ucb|match_typed_ucb|match_lin_ucb|match_ucb_prime|\n"
             "               match_ntu_ucb|etc|revenue_frictions\n"
-            "  policy knobs: ucb_scale (default 8.0), lin_beta_d_coeff (4.0),\n"
-            "    lin_beta_log_coeff (8.0), lin_ridge (1.0), epsilon (0.3),\n"
-            "    etc_pulls_per_pair (default ceil((T/|A|)^(2/3) log^(1/3)(|A|T)))\n"
+            "  policy knobs, an error for a kind that does not read them: ucb_scale (8.0):\n"
+            "    every kind but match_lin_ucb; lin_beta_d_coeff (4.0), lin_beta_log_coeff\n"
+            "    (8.0), lin_ridge (1.0): match_lin_ucb; epsilon (0.3): revenue_frictions;\n"
+            "    etc_pulls_per_pair (default ceil((T/|A|)^(2/3) log^(1/3)(|A|T))): etc\n"
             "  arrival.kind: all (default)|iid_subset (p)|fixed (schedule)\n"
             "  noise.kind: gaussian (sigma, default 1.0)|bernoulli (truth in [0, 1])\n"
             "  truth: fixed value matrices\n"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidContext, ProtocolViolation
-from .market import Matching, UtilityMatrix
+from .market import TOL, Matching, UtilityMatrix
 
 
 # An agent's V is ridge * I plus at most one outer product of unit-ball contexts per round: over 2e7 rounds this
@@ -146,10 +146,10 @@ class ConfidenceSets:
             total += width
         return total
 
-    def contains(self, truth: UtilityMatrix, tol: float = 1e-9) -> bool:
-        """Whether every interval contains the true utility (diagnostic)."""
+    def contains(self, truth: UtilityMatrix) -> bool:
+        """Whether every interval contains the true utility within ``TOL`` (diagnostic)."""
         values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
-        return bool(((self.lo - tol <= values) & (values <= self.hi + tol)).all())
+        return bool(((self.lo - TOL <= values) & (values <= self.hi + TOL)).all())
 
     # -- test/diagnostic helpers ----------------------------------------------
     def collapse_to(self, truth: UtilityMatrix) -> None:

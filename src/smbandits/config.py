@@ -154,11 +154,20 @@ def _outcome(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
     return MarketOutcome(matching, *transfers), ntu
 
 
+# The policy keys each kind reads besides ``kind``: the width constants of its confidence sets, and one key of its own.
+# A key the kind never reads would change nothing, so it fails to parse.
+_WIDTH_KEYS = {"linear": ("lin_beta_d_coeff", "lin_beta_log_coeff", "lin_ridge")}
+_OWN_KEYS = {"revenue_frictions": ("epsilon",), "etc": ("etc_pulls_per_pair",)}
+
+
 def _parse_policy(obj: dict, path: str) -> PolicySpec:
     knobs = [f.name for f in dataclasses.fields(ConfidenceConfig)]
     _take(obj, path, {"kind": str, **dict.fromkeys(knobs, _NUMBER), "epsilon": _NUMBER, "etc_pulls_per_pair": int})
     kind = obj.get("kind")
     _require(kind in POLICY_KINDS, f"{path}.kind", f"must be one of {tuple(POLICY_KINDS)}")
+    reads = ("kind", *_WIDTH_KEYS.get(POLICY_KINDS[kind][1].mode, ("ucb_scale",)), *_OWN_KEYS.get(kind, ()))
+    for key in obj:
+        _require(key in reads, f"{path}.{key}", f"policy kind {kind} does not read this key")
     pulls = obj.get("etc_pulls_per_pair")
     _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
     try:
@@ -166,8 +175,7 @@ def _parse_policy(obj: dict, path: str) -> PolicySpec:
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from exc
     epsilon = float(obj.get("epsilon", PolicySpec.epsilon))
-    if kind == "revenue_frictions":
-        _require(0 < epsilon <= _EPSILON_MAX, f"{path}.epsilon", f"must lie in (0, {_EPSILON_MAX:g}]")
+    _require(0 < epsilon <= _EPSILON_MAX, f"{path}.epsilon", f"must lie in (0, {_EPSILON_MAX:g}]")
     return PolicySpec(kind=kind, confidence=conf, epsilon=epsilon, etc_pulls_per_pair=pulls)
 
 

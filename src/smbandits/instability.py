@@ -91,10 +91,10 @@ def _terms_sum(g: np.ndarray, f: np.ndarray, rows, cols, *rr) -> np.ndarray:
 def tu_judgements(
     u: UtilityMatrix, outcomes: list, customers: np.ndarray | None = None, providers: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`subset_instability_and_stability` of each outcome of ``u``, as two arrays, on the submarket of the sorted
-    agents in row r of ``customers`` (R, a) and ``providers`` (R, b), None for all: one zero-sum check, net-payoff
-    add and (R, a, b) gain stack for all rows, and one rectangular solve per row. An outcome that is not zero-sum on
-    its submarket raises InvalidOutcome from its own ``check_zero_sum``."""
+    """``subset_instability(u, o).value`` and ``is_stable_tu(u, o)`` of each outcome o of ``u``, bitwise, as two
+    arrays, on the submarket of the sorted agents in row r of ``customers`` (R, a) and ``providers`` (R, b), None
+    for all: one zero-sum check, net-payoff add and (R, a, b) gain stack for all rows, and one rectangular solve per
+    row. An outcome that is not zero-sum on its submarket raises InvalidOutcome from its own ``check_zero_sum``."""
     n_c = u.num_customers
     tau = np.concatenate(([o.customer_transfers for o in outcomes], [o.provider_transfers for o in outcomes]), 1)
     pairs = [o.matching.index_arrays for o in outcomes]
@@ -132,15 +132,8 @@ def _subset_instabilities(joint: np.ndarray, q: np.ndarray) -> tuple[np.ndarray,
 
 
 def subset_instability_value(u: UtilityMatrix, outcome: MarketOutcome) -> float:
-    """Value-only form of :func:`subset_instability`."""
-    return subset_instability_and_stability(u, outcome)[0]
-
-
-def subset_instability_and_stability(u: UtilityMatrix, outcome: MarketOutcome) -> tuple[float, bool]:
-    """``(subset_instability(u, outcome).value, is_stable_tu(u, outcome))``,
-    bitwise, as the one-outcome case of :func:`tu_judgements`."""
-    values, stable = tu_judgements(u, [outcome])
-    return float(values[0]), bool(stable[0])
+    """``subset_instability(u, outcome).value``, bitwise, as the one-outcome case of :func:`tu_judgements`."""
+    return float(tu_judgements(u, [outcome])[0][0])
 
 
 def subset_instability(u: UtilityMatrix, outcome: MarketOutcome) -> InstabilityReport:

@@ -236,9 +236,9 @@ class MarketOutcome:
             q[n_c + j] += u.provider_values[j, i]
         return q
 
-    def check_zero_sum(self, tol: float = TOL) -> None:
+    def check_zero_sum(self) -> None:
         """Raise InvalidOutcome unless every matched pair's transfers sum to
-        zero and every unmatched agent's transfer is zero, within ``tol``.
+        zero and every unmatched agent's transfer is zero, within ``TOL``.
         The first failing pair is reported, then unmatched customers, then
         unmatched providers."""
         ci, pj = self.matching.index_arrays
@@ -249,7 +249,7 @@ class MarketOutcome:
         resid = np.concatenate((tau_c, tau_p))
         resid[ci] = tau_c[ci] + tau_p[pj]
         resid[n_c + pj] = 0.0
-        bad = np.abs(resid) > tol
+        bad = np.abs(resid) > TOL
         if not bad.any():
             return
         if bad[ci].any():
@@ -303,15 +303,12 @@ def certified_duals(joint: np.ndarray, matching: Matching) -> tuple[np.ndarray, 
 
 
 def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_duals_numpy`, bytes and errors alike, step for step on the lists of one ``w.tolist()`` in markets of
-    at most ``_TABLE_MAX_CELLS`` cells, where numpy's fixed cost per call outweighs its arithmetic. Where numpy's
-    minimum, maximum and axis-0 reductions meet equal operands (0.0 and -0.0) they return the later one, and so
-    does every comparison here. One pair over several free customers keeps the numpy pass: its free bound is then
-    one contiguous column, which numpy may reduce in SIMD lanes that pick between 0.0 and -0.0 by another rule."""
+    """:func:`_duals_numpy`, bytes and errors alike, on the lists of one ``w.tolist()`` in markets of at most
+    ``_TABLE_MAX_CELLS`` cells, where numpy's fixed cost per call outweighs its arithmetic. Zero prices are +0.0."""
+    if w.size > _TABLE_MAX_CELLS:
+        return _duals_numpy(w, ci, pj)
     n_c, n_p = w.shape
     k = len(ci)
-    if w.size > _TABLE_MAX_CELLS or (k == 1 and n_c > 2):
-        return _duals_numpy(w, ci, pj)
     rows, cl, pl = w.tolist(), ci.tolist(), pj.tolist()
     p_c, p_p = [0.0] * n_c, [0.0] * n_p
     if not k:
@@ -321,7 +318,7 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
     x = wk
     if k < n_c:
         free = [r for i, r in enumerate(rows) if i not in cl]
-        x = [b - max(reversed([r[j] for r in free])) for j, b in zip(pl, wk)]
+        x = [b - max([r[j] for r in free]) for j, b in zip(pl, wk)]
     d = [[r[j] - b for j, b in zip(pl, wk)] for r in matched]
     for a in range(k):
         d[a][a] = -math.inf
@@ -329,7 +326,7 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
         new_x = []
         for l, m in enumerate(x):
             for xa, da in zip(x, d):
-                if (v := xa - da[l]) <= m:
+                if (v := xa - da[l]) < m:
                     m = v
             new_x.append(m)
         if new_x == x:
@@ -338,7 +335,7 @@ def _duals_for_matching(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[
     tol = _DUAL_RTOL * max(map(max, rows))
     fails = min(x) < -tol
     for i, j, a, b in zip(cl, pl, x, wk):
-        p_c[i], p_p[j] = a, b - a
+        p_c[i], p_p[j] = a, b - a + 0.0
         fails = fails or a + (b - a) - b > tol
     for a, r in zip(p_c, rows):
         for b, v in zip(p_p, r):
@@ -358,7 +355,7 @@ def _duals_numpy(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndar
     system of difference constraints is feasible exactly when the matching is
     optimal for ``w``. The result is checked against every dual constraint,
     to a tolerance relative to the largest weight, and UncertifiedDuals is
-    raised when the check fails.
+    raised when the check fails. Every zero price is +0.0.
     """
     n_c, n_p = w.shape
     p_c = np.zeros(n_c)
@@ -394,8 +391,8 @@ def _duals_numpy(w: np.ndarray, ci: np.ndarray, pj: np.ndarray) -> tuple[np.ndar
     # Certificate: p >= 0, p_i + p_j >= w_ij, and equality on matched pairs,
     # whose slack is x_k + (w_k - x_k) - w_k. The provider prices w_k - x_k
     # are nonnegative by construction, as x <= w_k.
-    p_c[ci] = x
-    p_p[pj] = wk - x
+    p_c[ci] = x + 0.0  # -0.0 + 0.0 is +0.0, whichever of two equal operands numpy's kernels return
+    p_p[pj] = wk - x + 0.0
     slack = p_c[:, None] + p_p
     slack -= w
     tol = _DUAL_RTOL * w.max()

@@ -119,11 +119,38 @@ class TestConfigParsing:
             ({"policy": {"kind": "etc", "etc_pulls_per_pair": -1}}, r"config\.policy\.etc_pulls_per_pair"),
             ({"policy": {"kind": "match_ucb", "ucb_scale": float("nan")}}, r"config\.policy\.ucb_scale"),
             ({"noise": {"kind": "gaussian", "sigma": float("inf")}}, r"config\.noise\.sigma"),
-            ({"policy": {"kind": "match_ucb", "lin_ridge": 0}}, r"config\.policy\.lin_ridge"),
-            ({"policy": {"kind": "match_ucb", "lin_beta_log_coeff": -1.0}}, r"config\.policy\.lin_beta_log_coeff"),
+            (
+                {"class": "linear", "policy": {"kind": "match_lin_ucb", "lin_ridge": 0}},
+                r"config\.policy\.lin_ridge: must be at least",
+            ),
+            (
+                {"class": "linear", "policy": {"kind": "match_lin_ucb", "lin_beta_log_coeff": -1.0}},
+                r"config\.policy\.lin_beta_log_coeff: must be nonnegative",
+            ),
             ({"policy": {"kind": "revenue_frictions", "epsilon": float("inf")}}, r"config\.policy\.epsilon"),
             ({"policy": {"kind": "revenue_frictions", "epsilon": 1e308}}, r"config\.policy\.epsilon"),
             ({"policy": {"kind": "match_lin_ucb"}}, r"config\.class: match_lin_ucb needs class=linear"),
+            # A key the policy kind never reads would change nothing.
+            (
+                {"class": "linear", "policy": {"kind": "match_lin_ucb", "ucb_scale": 0.001}},
+                r"config\.policy\.ucb_scale: policy kind match_lin_ucb does not read this key",
+            ),
+            (
+                {"policy": {"kind": "match_ucb", "lin_ridge": 0.5}},
+                r"config\.policy\.lin_ridge: policy kind match_ucb does not read this key",
+            ),
+            (
+                {"policy": {"kind": "match_ucb", "epsilon": 0.2}},
+                r"config\.policy\.epsilon: policy kind match_ucb does not read this key",
+            ),
+            (
+                {"policy": {"kind": "match_ucb", "etc_pulls_per_pair": 3}},
+                r"config\.policy\.etc_pulls_per_pair: policy kind match_ucb does not read this key",
+            ),
+            (
+                {"policy": {"kind": "etc", "epsilon": 0.2}},
+                r"config\.policy\.epsilon: policy kind etc does not read this key",
+            ),
             # The policy kind picks the NTU metric and the eps judgement.
             ({"ntu": True}, r"config: unknown keys \['ntu'\]"),
             ({"stability_eps": 0.3}, r"config: unknown keys \['stability_eps'\]"),
@@ -181,6 +208,11 @@ class TestConfigParsing:
             "epsilon_infinite",
             "epsilon_overflowing",
             "linear_sets_need_linear_class",
+            "ucb_scale_on_linear_sets",
+            "lin_ridge_on_unstructured_sets",
+            "epsilon_on_match_ucb",
+            "etc_pulls_on_match_ucb",
+            "epsilon_on_etc",
             "ntu_key",
             "stability_eps_key",
             "customers_bool",

@@ -1,12 +1,18 @@
-"""Oracle checks of the assignment engine and the instability report at scale.
+"""Oracle checks of the assignment engine and the instability reports.
 
-The oracles share no code with ``market.py``: the primal weight comes from
-networkx's blossom matching, and the instability value from HiGHS on the
-minimum-subsidy linear program. The inputs are an imbalanced hard-family
-market (4x360, one value repeated across whole blocks) and a 30x50 market of
-small integer utilities, where optimal matchings and witnesses are far from
-unique.
+The oracles share no code with ``market.py`` or the solvers of
+``instability.py``: the primal weight comes from networkx's blossom matching,
+the TU instability value from HiGHS on the minimum-subsidy linear program,
+and the NTU instability value from an enumeration over the raw utilities of
+which side silences each blocking pair. The TU inputs are an imbalanced
+hard-family market (4x360, one value repeated across whole blocks) and a
+30x50 market of small integer utilities, where optimal matchings and
+witnesses are far from unique. The NTU inputs are random and quarter-integer
+markets up to 3x4.
 """
+
+import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -14,8 +20,14 @@ import pytest
 from scipy.optimize import linprog
 
 from smbandits.environment import gen_hard_instance
-from smbandits.instability import subset_instability
+from smbandits.instability import (
+    ntu_judgements,
+    ntu_subset_instability,
+    ntu_subset_instability_bruteforce,
+    subset_instability,
+)
 from smbandits.market import (
+    TOL as GAIN_TOL,
     Matching,
     MarketOutcome,
     UtilityMatrix,
@@ -139,3 +151,71 @@ def test_witness_expression_equals_value(name):
         best = _networkx_weight(u.joint()[np.ix_(wc, wp)]) if len(wc) and len(wp) else 0.0
         expression = best - (q_c[wc].sum() + q_p[wp].sum())
         assert expression == pytest.approx(report.value, abs=TOL * max(1.0, report.value))
+
+
+# -- NTU: which side silences each blocking pair ----------------------------
+
+_NTU_MAX_BLOCKING = 12
+
+
+def _ntu_side_choice(u: UtilityMatrix, pairs: list[tuple[int, int]]) -> float:
+    """The NTU instability of a matching from the raw utilities. Every agent gets at least its floor
+    max(0, -mu). A pair whose customer and provider both gain more than ``GAIN_TOL`` over their matched
+    utilities blocks, and is silenced by a subsidy of the full gain on the side chosen for it. The value is the
+    least total over every choice of sides."""
+    cv, pv = u.customer_values.tolist(), u.provider_values.tolist()
+    n_c, n_p = u.num_customers, u.num_providers
+    mu_c, mu_p = [0.0] * n_c, [0.0] * n_p
+    for i, j in pairs:
+        mu_c[i], mu_p[j] = cv[i][j], pv[j][i]
+    blocking = []
+    for i in range(n_c):
+        for j in range(n_p):
+            gain_c, gain_p = cv[i][j] - mu_c[i], pv[j][i] - mu_p[j]
+            if gain_c > GAIN_TOL and gain_p > GAIN_TOL:
+                blocking.append((i, j, gain_c, gain_p))
+    assert len(blocking) <= _NTU_MAX_BLOCKING
+    best = math.inf
+    for sides in itertools.product((True, False), repeat=len(blocking)):
+        s_c = [max(0.0, -m) for m in mu_c]
+        s_p = [max(0.0, -m) for m in mu_p]
+        for on_customer, (i, j, gain_c, gain_p) in zip(sides, blocking):
+            if on_customer:
+                s_c[i] = max(s_c[i], gain_c)
+            else:
+                s_p[j] = max(s_p[j], gain_p)
+        best = min(best, sum(s_c) + sum(s_p))
+    return best
+
+
+def _random_matching(rng, n_c: int, n_p: int) -> Matching:
+    k = int(rng.integers(0, min(n_c, n_p) + 1))
+    return Matching(zip(rng.permutation(n_c)[:k].tolist(), rng.permutation(n_p)[:k].tolist()))
+
+
+@pytest.mark.parametrize("values", ["random", "quarter"])
+def test_ntu_instability_matches_side_choice_oracle(values):
+    # Four matchings per market, so that ntu_judgements stacks them; it is
+    # compared on the rows it reports exact.
+    rng = np.random.default_rng(97)
+    shapes = [(n_c, n_p) for n_c in range(1, 4) for n_p in range(1, 5)]
+    compared = stacked = blocked = 0
+    for _ in range(125):
+        for n_c, n_p in shapes:
+            if values == "random":
+                u = UtilityMatrix(rng.uniform(-1.0, 1.0, (n_c, n_p)), rng.uniform(-1.0, 1.0, (n_p, n_c)))
+            else:
+                u = UtilityMatrix(rng.integers(-4, 5, (n_c, n_p)) / 4.0, rng.integers(-4, 5, (n_p, n_c)) / 4.0)
+            matchings = [_random_matching(rng, n_c, n_p) for _ in range(4)]
+            oracle = [_ntu_side_choice(u, m.pairs) for m in matchings]
+            for m, want in zip(matchings, oracle):
+                assert ntu_subset_instability(u, m).value == pytest.approx(want, abs=1e-12)
+                assert ntu_subset_instability_bruteforce(u, m) == pytest.approx(want, abs=1e-12)
+                blocked += want > 0.0
+            agents = (np.tile(np.arange(n_c), (4, 1)), np.tile(np.arange(n_p), (4, 1)))
+            got, _, exact = ntu_judgements(u, matchings, *agents)
+            for value, want in zip(got[exact], np.array(oracle)[exact]):
+                assert value == pytest.approx(want, abs=1e-12)
+            compared += len(matchings)
+            stacked += int(exact.sum())
+    assert blocked >= compared // 2 and stacked >= 0.9 * compared, (blocked, stacked, compared)

@@ -180,7 +180,9 @@ def test_duals_equal_reference_on_solver_output():
 
 def test_duals_equal_reference_on_negative_zero_weights():
     # Weights given directly, -0.0 entries included: the certificate's
-    # outcome and every output byte agree, also where it fails.
+    # outcome agrees, also where it fails, and every output byte equals the
+    # reference's prices plus 0.0. The reference keeps a -0.0 its arithmetic
+    # leaves; the pass returns +0.0 for every zero price.
     rng = np.random.default_rng(43)
     outcomes = {"certified": 0, "uncertified": 0}
     for n_c, n_p in [(2, 2), (3, 3), (3, 5), (5, 3), (8, 8)]:
@@ -198,7 +200,9 @@ def test_duals_equal_reference_on_negative_zero_weights():
                 assert str(got.value) == str(exc)
                 outcomes["uncertified"] += 1
                 continue
-            assert_same_bytes(_duals_for_matching(w, rows, cols), want)
+            got = _duals_for_matching(w, rows, cols)
+            assert_same_bytes(got, tuple(p + 0.0 for p in want))
+            assert not any(np.signbit(p[p == 0.0]).any() for p in got)
             outcomes["certified"] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
@@ -289,12 +293,12 @@ def test_small_market_duals_equal_numpy_pass(case):
 
 @pytest.mark.parametrize(
     "shape, numpy_passes",
-    [((1, 16), 0), ((16, 1), 1), ((2, 8), 0), ((4, 4), 0), ((1, 17), 1), ((17, 1), 1), ((3, 6), 1)],
+    [((1, 16), 0), ((16, 1), 0), ((2, 8), 0), ((4, 4), 0), ((1, 17), 1), ((17, 1), 1), ((3, 6), 1)],
 )
 def test_numpy_pass_above_sixteen_cells(monkeypatch, shape, numpy_passes):
     # Weight 1 on the diagonal and -1 elsewhere: every agent of the shorter
-    # side is matched. A single pair over 15 free customers (16x1) is the one
-    # small market that keeps the numpy pass.
+    # side is matched. The cell count alone picks the pass: a single pair
+    # over 15 free customers (16x1) takes the Python pass too.
     calls = []
     numpy_pass = market._duals_numpy
 

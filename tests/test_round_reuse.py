@@ -19,7 +19,7 @@ from conftest import trace_digest
 from smbandits import environment as env
 from smbandits import policies as pol
 from smbandits.confidence import ConfidenceConfig, TypedConfidence, UnstructuredConfidence
-from smbandits.instability import subset_instability_and_stability
+from smbandits.instability import tu_judgements
 from smbandits.market import Matching, MarketOutcome
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -213,9 +213,8 @@ def test_replay_needs_the_same_arrivals(monkeypatch):
     assert trace.reused_rounds == sum(a == b for a, b in zip(rounds, rounds[1:]))
     for t, (cust, prov) in enumerate(rounds):
         cust, prov = np.array(cust), np.array(prov)
-        want = subset_instability_and_stability(
-            instance.truth.restrict(cust, prov), env._restrict_outcome(outcome, cust, prov)
-        )
-        assert (trace.instability[t], trace.stable_truth[t]) == want, t
+        sub = instance.truth.restrict(cust, prov)
+        (value,), (stable,) = tu_judgements(sub, [env._restrict_outcome(outcome, cust, prov)])
+        assert (trace.instability[t], trace.stable_truth[t]) == (value, stable), t
     # The two submarkets judge the outcome differently.
     assert len(set(trace.instability.tolist())) == 2

@@ -1,4 +1,4 @@
-"""The fused TU round score, ``subset_instability_and_stability`` (the
+"""The fused TU round score, ``tu_judgements(u, [outcome])`` (the
 one-outcome case of the stacked judgement), equals the one-outcome reference
 of conftest and ``is_stable_tu`` to the last bit, and so does
 ``subset_instability_value``; and it keeps the paper's identity "instability
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_market, random_zero_sum_outcome, reference_tu_judgement
 from smbandits.environment import _restrict_outcome, gen_hard_instance
 from smbandits.errors import InvalidOutcome
-from smbandits.instability import subset_instability_and_stability, subset_instability_value
+from smbandits.instability import subset_instability_value, tu_judgements
 from smbandits.market import (
     Matching,
     MarketOutcome,
@@ -26,7 +26,7 @@ PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=
 
 
 def assert_fused_equals_separate(u, outcome):
-    value, stable = subset_instability_and_stability(u, outcome)
+    (value,), (stable,) = tu_judgements(u, [outcome])
     ref_value, ref_stable = reference_tu_judgement(u, outcome)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert np.float64(subset_instability_value(u, outcome)).tobytes() == np.float64(ref_value).tobytes()
@@ -139,7 +139,7 @@ class TestFusedEqualsSeparate:
         with pytest.raises(InvalidOutcome) as separate:
             subset_instability_value(u, outcome)
         with pytest.raises(InvalidOutcome) as fused:
-            subset_instability_and_stability(u, outcome)
+            tu_judgements(u, [outcome])
         assert str(fused.value) == str(separate.value)
 
 
@@ -167,7 +167,7 @@ def dual_derived(draw):
 @given(dual_derived())
 def test_dual_derived_outcomes_score_zero_and_stable(case):
     u, outcome = case
-    value, stable = subset_instability_and_stability(u, outcome)
+    (value,), (stable,) = tu_judgements(u, [outcome])
     assert stable
     assert value <= 1e-9
 
