@@ -20,6 +20,7 @@ hold independent instances.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,14 @@ class ConfidenceConfig:
                 raise ValueError(f"{name}: must be nonnegative")
         if self.lin_ridge < _RIDGE_MIN:
             raise ValueError(f"lin_ridge: must be at least {_RIDGE_MIN:g}")
+
+
+def _width(lo: list[float], hi: list[float]) -> float:
+    """The total of ``hi - lo`` over aligned intervals, added left to right."""
+    total = 0.0
+    for a, b in zip(lo, hi):
+        total += b - a
+    return total
 
 
 def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,10 +150,7 @@ class ConfidenceSets:
         """Total width over both orientations of each matched pair, added left
         to right: customer 0, provider 0, customer 1, ..."""
         pos = self._positions(matching)
-        total = 0.0
-        for width in (self.hi[pos] - self.lo[pos]).tolist():
-            total += width
-        return total
+        return _width(self.lo[pos].tolist(), self.hi[pos].tolist())
 
     def contains(self, truth: UtilityMatrix) -> bool:
         """Whether every interval contains the true utility within ``TOL`` (diagnostic)."""
@@ -169,25 +175,33 @@ class UnstructuredConfidence(ConfidenceSets):
         self.mean = [0.0] * self.lo.size
 
     def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> np.ndarray:
-        # Pairs are disjoint, so no position repeats within one round. One scalar pass in the order customer 0,
-        # provider 0, customer 1, ...: at a few pairs a round numpy's fixed cost per call outweighs its arithmetic.
-        log_term = math.log(max(self.num_agents * horizon, 2))
-        scale, sqrt, counts, means = self.config.ucb_scale, math.sqrt, self.counts, self.mean
         pos = self._positions(matching)
         rewards = [0.0] * pos.size
         rewards[::2], rewards[1::2] = r_c.tolist(), r_p.tolist()
-        lo, hi = [], []
-        for q, r in zip(pos.tolist(), rewards):
-            counts[q] = n = counts[q] + 1
-            m = means[q]
-            means[q] = m = m + (r - m) / n
-            hw = scale * sqrt(log_term / n)
-            # min(max(m - hw, -1), 1) and max(min(m + hw, 1), -1), without the calls.
-            a, b = m - hw, m + hw
-            lo.append(-1.0 if a < -1.0 else 1.0 if a > 1.0 else a)
-            hi.append(1.0 if b > 1.0 else -1.0 if b < -1.0 else b)
-        self.lo[pos], self.hi[pos] = lo, hi
+        self.lo[pos], self.hi[pos] = next(self._fold(pos.tolist(), rewards, horizon))
         return pos
+
+    def _fold(self, pos: list[int], rewards: list[float], horizon: int) -> Iterator[tuple[list[float], list[float]]]:
+        """Fold rounds of feedback into the counts and means at the buffer positions ``pos``, no two alike, and yield
+        each round's new ``lo`` and ``hi`` at ``pos`` once it is folded. ``rewards`` holds len(pos) rewards per round,
+        each round in the order of ``pos``; the caller takes as many rounds as it gave and writes the buffers."""
+        # One scalar pass in the order customer 0, provider 0, customer 1, ...: at a few pairs a round numpy's fixed
+        # cost per call outweighs its arithmetic.
+        log_term = math.log(max(self.num_agents * horizon, 2))
+        scale, sqrt, counts, means = self.config.ucb_scale, math.sqrt, self.counts, self.mean
+        rewards = iter(rewards)
+        while True:
+            lo, hi = [], []
+            for q, r in zip(pos, rewards):
+                counts[q] = n = counts[q] + 1
+                m = means[q]
+                means[q] = m = m + (r - m) / n
+                hw = scale * sqrt(log_term / n)
+                # min(max(m - hw, -1), 1) and max(min(m + hw, 1), -1), without the calls.
+                a, b = m - hw, m + hw
+                lo.append(-1.0 if a < -1.0 else 1.0 if a > 1.0 else a)
+                hi.append(1.0 if b > 1.0 else -1.0 if b < -1.0 else b)
+            yield lo, hi
 
 
 class TypedConfidence(ConfidenceSets):

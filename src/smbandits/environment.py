@@ -8,13 +8,21 @@ instance; ``sweep`` fans replicas out over seeds and cells.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import policies as pol
-from .confidence import ConfidenceConfig, ConfidenceSets, LinearConfidence, TypedConfidence, UnstructuredConfidence
+from .confidence import (
+    ConfidenceConfig,
+    ConfidenceSets,
+    LinearConfidence,
+    TypedConfidence,
+    UnstructuredConfidence,
+    _width,
+)
 from .errors import ConfigError, TooLarge
 # subset_instability_value is not called here; perfbench/tracer.py patches this name.
 from .instability import ntu_judgements, ntu_subset_instability, subset_instability_value, tu_judgements
@@ -320,6 +328,11 @@ def run(
     (those copy its judgement), ``_containment`` reads the positions each ``update`` rewrote (``conf.written``; the
     sets change through nothing else), and a ``revenue_frictions`` round's ``stable_truth`` is the eps-stability of
     its published outcome at the policy's fee. ``record_outcomes`` keeps each round's scored outcome on the trace.
+
+    A round that would replay the last one skips ``step``: when every agent arrives, the upper bounds are bytewise
+    those the policy's memoised outcome was selected on, and that outcome is the one last scored, ``_replay`` plays
+    the rounds that follow in one scalar pass, up to the first whose fold moves an upper bound and short of the
+    round that ends the block. ``_replayed`` says whether the pass may stand in for the policy's rounds.
     """
     policy = spec.build(instance, horizon)
     conf = policy.conf
@@ -343,12 +356,14 @@ def run(
     source = np.arange(horizon)  # the round whose judgement each round copies
     # All arrivals: the same two read-only arrays every round.
     every = instance.arrival.kind == "all" and tuple(np.frombuffer(np.arange(n).tobytes(), int) for n in (n_c, n_p))
+    memoised = _replayed(policy) if every else None
     judged, published, records, snaps, cells, start = [], [], [], [], 0, 0
 
     def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
         return _observe(values, conf._positions(matching), instance.noise, noise_rng)
 
-    for t in range(horizon):
+    t = 0
+    while t < horizon:
         cust, prov = every or _draw_arrivals(instance.arrival, n_c, n_p, t, arrivals_rng)
         written, conf.written = conf.written, ()
         if written is None or t == start:
@@ -357,6 +372,23 @@ def run(
         else:
             records.append((written, conf.lo[written], conf.hi[written]))
         cells += values.size if records[-1] is None else len(written)
+        key = policy._memo_key
+        if memoised and last and last[0] is policy._memo_value and key[0] is memoised and key[-1] == conf.hi.tobytes():
+            pos = conf._positions(last[0].matching)
+            # Each round adds its record and one cell; the round that reaches a cap ends the block, stepwise.
+            cap = -((cells + 1 - _BLOCK_CELLS) // (pos.size + 1))
+            rounds = min(horizon - 1 - t, start + _BLOCK_ROUNDS - 1 - t, cap)
+            widths = rounds > 0 and _replay(conf, pos, values, instance.noise, noise_rng, horizon, rounds, records)
+            if widths:
+                r = len(widths)
+                trace.width_sum[t : t + r] = trace.certified_bound[t : t + r] = widths
+                trace.reused_rounds += r
+                source[t : t + r] = last[3]
+                if record_outcomes:
+                    trace.outcomes += [last[0]] * r
+                cells += r + (r - 1) * pos.size
+                t += r
+                continue
         decision = policy.step((cust, prov), feedback)
         if last and last[0] is decision.scored_outcome and (
             last[1] is cust and last[2] is prov
@@ -378,9 +410,10 @@ def run(
         if decision.info is not None:
             infos.append(decision.info)
         cells += 1
-        if cells < _BLOCK_CELLS and t - start < _BLOCK_ROUNDS - 1 and t < horizon - 1:
+        t += 1
+        if cells < _BLOCK_CELLS and t - start < _BLOCK_ROUNDS and t < horizon:
             continue
-        block = slice(start, t + 1)
+        block = slice(start, t)
         trace.containment[block] = _containment(values, records, snaps)
         _judge_block(trace, truth, judged, ntu)
         for column in (trace.instability, trace.stable_truth, trace.bound_only):
@@ -390,10 +423,94 @@ def run(
             truth_sub = truth.restrict(c, p)
             payoffs = _restrict_outcome(outcome, c, p)._payoff_vector(truth_sub)
             trace.stable_truth[k] = _inequalities_hold(payoffs, truth_sub.joint(), fee)
-        judged, published, records, snaps, cells, start = [], [], [], [], 0, t + 1
+        judged, published, records, snaps, cells, start = [], [], [], [], 0, t
 
     trace.info = {key: np.array([info[key] for info in infos]) for key in infos[0]} if infos else None
     return trace
+
+
+# The round hooks the replay pass stands in for, as their classes define them, and the function whose result each
+# policy class memoises. A policy or sets with one of these replaced, on its class or on the instance (a tracer, a
+# probe), play every round through ``step``, so that the replacement sees every round.
+_MEMOISED = {pol.MatchUcbPolicy: pol.compute_match, pol.MatchNtuUcbPolicy: pol._ntu_outcome}
+_HOOKS = {
+    cls: {name: getattr(cls, name) for name in names}
+    for cls, names in [
+        (pol.MatchUcbPolicy, ("step", "_select", "_learn", "_memo")),
+        (pol.MatchNtuUcbPolicy, ("step", "_select", "_learn", "_memo")),
+        (UnstructuredConfidence, ("update", "_apply", "width_sum")),
+    ]
+}
+
+
+def _replayed(policy: pol.Policy):
+    """The function whose memoised outcome ``policy`` replays, if ``_replay`` may stand in for its rounds: a
+    ``_MEMOISED`` policy class on unstructured sets, with every hook in ``_HOOKS`` as defined. None otherwise."""
+    conf = policy.conf
+    if type(policy) not in _MEMOISED or type(conf) is not UnstructuredConfidence:
+        return None
+    for owner in (policy, conf):
+        for name, fn in _HOOKS[type(owner)].items():
+            if getattr(type(owner), name) is not fn or name in vars(owner):
+                return None
+    return _MEMOISED[type(policy)]
+
+
+def _replay(
+    conf: UnstructuredConfidence,
+    pos: np.ndarray,
+    values: np.ndarray,
+    noise: NoiseSpec,
+    rng: np.random.Generator,
+    horizon: int,
+    rounds: int,
+    records: list,
+) -> list[float]:
+    """Play up to ``rounds`` rounds, from the next on, that replay the last one: each round's width, then its
+    feedback at the played buffer positions ``pos``, folded into ``conf``. Stops after the first round whose fold
+    moves a byte of ``hi`` (-0.0 against 0.0 too; the round after selects afresh) and before a round with a
+    non-finite reward (``update`` raises on it). Returns the width of each round played. Appends the containment
+    record of each but the first, whose record the caller took, and leaves the last fold in the buffers and in
+    ``conf.written``.
+
+    The noise is drawn for chunks of rounds, doubling in size; a pass that stops inside a chunk puts the stream
+    back to the end of the draws of the rounds it played, where the rounds played one at a time would leave it."""
+    plist = pos.tolist()
+    lo, hi = conf.lo[pos].tolist(), conf.hi[pos].tolist()
+    widths: list[float] = []
+    chunk = 8
+    while len(widths) < rounds:
+        n = min(chunk, rounds - len(widths))
+        state = rng.bit_generator.state
+        draws = _draws(values, pos, noise, rng, n)
+        finite = np.isfinite(draws)
+        folds = conf._fold(plist, draws.tolist(), horizon)
+        played, moved = 0, False
+        for lo_next, hi_next in itertools.islice(folds, n if finite.all() else int(finite.argmin()) // pos.size):
+            if widths:
+                records.append((pos, lo, hi))
+            widths.append(_width(lo, hi))
+            played += 1
+            moved = not _same_bytes(hi_next, hi)
+            lo, hi = lo_next, hi_next
+            if moved:
+                break
+        if played < n:
+            rng.bit_generator.state = state
+            if played:
+                _draws(values, pos, noise, rng, played)
+        if moved or played < n:
+            break
+        chunk *= 2
+    if widths:
+        conf.lo[pos], conf.hi[pos] = lo, hi
+        conf.written = pos
+    return widths
+
+
+def _same_bytes(a: list[float], b: list[float]) -> bool:
+    """Whether two lists of finite floats are bytewise equal: equal values, and zeros of the same sign."""
+    return a == b and (0.0 not in a or [math.copysign(1.0, x) for x in a] == [math.copysign(1.0, x) for x in b])
 
 
 def _judge_block(trace: RegretTrace, truth: UtilityMatrix, judged: list[tuple], ntu: bool) -> None:
@@ -463,18 +580,25 @@ def _observe(
     """Noisy rewards (customer side, provider side), aligned with a matching's pairs, of the true
     utilities ``values``, laid out like ``conf.lo``, at the pairs' buffer positions ``pos``:
     customer 0, provider 0, customer 1, ..., which is also the order of the draws."""
+    draws = _draws(values, pos, noise, rng)
+    return draws[0::2], draws[1::2]
+
+
+def _draws(
+    values: np.ndarray, pos: np.ndarray, noise: NoiseSpec, rng: np.random.Generator, rounds: int = 1
+) -> np.ndarray:
+    """Noisy rewards of ``rounds`` rounds that each observe the true utilities ``values`` at the buffer positions
+    ``pos``, round after round, each in the order of ``pos``: the stream's draws in the order it gives them."""
     if not len(pos):
-        return np.empty(0), np.empty(0)
-    means = values[pos]
+        return np.empty(0)
+    means = values[pos] if rounds == 1 else np.tile(values[pos], rounds)
     if noise.kind == "gaussian":
-        draws = means + noise.sigma * rng.standard_normal(means.size)
-    elif noise.kind == "bernoulli":
+        return means + noise.sigma * rng.standard_normal(means.size)
+    if noise.kind == "bernoulli":
         if means.min() < 0.0 or means.max() > 1.0:
             raise ConfigError("bernoulli feedback needs utilities in [0, 1]")
-        draws = (rng.random(means.size) < means).astype(float)
-    else:
-        raise ConfigError(f"unknown noise kind {noise.kind!r}")
-    return draws[0::2], draws[1::2]
+        return (rng.random(means.size) < means).astype(float)
+    raise ConfigError(f"unknown noise kind {noise.kind!r}")
 
 
 def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray) -> MarketOutcome:

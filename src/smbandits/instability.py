@@ -237,8 +237,9 @@ def _ntu_candidates(gain_c: np.ndarray, ir_c: np.ndarray) -> list[list[float]]:
 
 
 def _ntu_forced_providers(s_c: np.ndarray, gain_c: np.ndarray, gain_p: np.ndarray, ir_p: np.ndarray) -> np.ndarray:
-    """Cheapest provider subsidies once customer subsidies are fixed."""
-    uncovered = gain_c - s_c[:, None] > TOL
+    """Cheapest provider subsidies once customer subsidies are fixed: a pair still blocks where both gains, the
+    customer's net of its subsidy, exceed ``TOL``."""
+    uncovered = (gain_c - s_c[:, None] > TOL) & (gain_p > TOL)
     s_p = ir_p.copy()
     if uncovered.any():
         need = np.where(uncovered, gain_p, -np.inf).max(axis=0)
@@ -315,7 +316,9 @@ def ntu_judgements(u: UtilityMatrix, matchings: list, customers: np.ndarray, pro
     slots = np.sort(np.concatenate((ir_c[:, :, None], np.where(gain_c > 0.0, gain_c, 0.0)), 2), 2) + 0.0
     slots[(slots < ir_c[:, :, None] - 1e-15) | (np.diff(slots, axis=2, prepend=-np.inf) == 0.0)] = np.inf
     tail = np.cumsum(slots.min(2)[:, ::-1], 1)[:, ::-1]  # the search's tail_min
-    needs = np.where(gain_c[:, :, None, :] - slots[:, :, :, None] > TOL, gain_p[:, :, None, :], -np.inf)
+    # A pair the customer's slot leaves uncovered forces its provider's gain, if that gain blocks too.
+    blocking_p = np.where(gain_p > TOL, gain_p, -np.inf)[:, :, None, :]
+    needs = np.where(gain_c[:, :, None, :] - slots[:, :, :, None] > TOL, blocking_p, -np.inf)
     partial, low, s_p = np.zeros((R, 1)), np.full((R, 1), -np.inf), ir_p[:, None]
     for i in range(a):
         low = np.repeat(np.maximum(low, partial + tail[:, i, None]), b + 1, 1)

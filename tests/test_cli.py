@@ -336,6 +336,13 @@ class TestRunCommand:
         main(["run", "--config", str(golden / "ntu_iid_config.json"), "--out", str(tmp_path)])
         assert (tmp_path / "ntu_iid_trace.csv").read_bytes() == (golden / "ntu_iid_trace.csv").read_bytes()
 
+    def test_golden_replay_trace_unchanged(self, tmp_path):
+        # The committed config of the CI console-script step: 3x3 match_ucb on all arrivals, whose clipped rounds
+        # replay the last one and are played in one pass.
+        golden = Path(__file__).parent / "golden"
+        main(["run", "--config", str(golden / "ucb_replay_config.json"), "--out", str(tmp_path)])
+        assert (tmp_path / "ucb_replay_trace.csv").read_bytes() == (golden / "ucb_replay_trace.csv").read_bytes()
+
     def test_fig1_fixture_full_csv_shape(self, tmp_path):
         cfg = base_config(
             name="fig1",

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from test_trace_blocks import full_digest
 
 from smbandits import environment as env
@@ -86,6 +87,10 @@ def acceptance_runs():
         )
     return runs
 
+
+# The library versions the digests below were recorded with. A digest that does not match names them and the
+# running versions: a moved bit under other versions may be theirs, not the change's.
+RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 DIGESTS = {
     "c4/match_ucb/3": "873d7e6d4260297e08689183048c818bbe84af8aa343bfde08d169bf097f53b8",
@@ -173,4 +178,7 @@ def test_table_lists_every_run():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_run_digest(name):
     instance, spec, horizon = all_runs()[name]()
-    assert full_digest(env.run(instance, spec, horizon, record_outcomes=True)) == DIGESTS[name]
+    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert full_digest(env.run(instance, spec, horizon, record_outcomes=True)) == DIGESTS[name], (
+        f"recorded with {RECORDED_WITH}, running {running}"
+    )

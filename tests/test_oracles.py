@@ -32,6 +32,7 @@ from smbandits.market import (
     MarketOutcome,
     UtilityMatrix,
     assignment_pairs,
+    is_stable_ntu,
     max_weight_matching_with_duals,
     stable_outcome_from_duals,
 )
@@ -219,3 +220,47 @@ def test_ntu_instability_matches_side_choice_oracle(values):
             compared += len(matchings)
             stacked += int(exact.sum())
     assert blocked >= compared // 2 and stacked >= 0.9 * compared, (blocked, stacked, compared)
+
+
+def _three_paths(u: UtilityMatrix, matchings: list[Matching]) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The search's and the grid oracle's value of each matching, the stack's values and the rows it is exact for."""
+    agents = (np.tile(np.arange(n), (len(matchings), 1)) for n in (u.num_customers, u.num_providers))
+    stacked, _, exact = ntu_judgements(u, matchings, *agents)
+    search = [ntu_subset_instability(u, m).value for m in matchings]
+    return search, [ntu_subset_instability_bruteforce(u, m) for m in matchings], stacked, exact
+
+
+def test_a_provider_gain_within_tol_does_not_block():
+    # Customer 0 gains 0.5 from provider 1, which gains only 5e-10 <= TOL from customer 0: no pair blocks.
+    u = UtilityMatrix(np.array([[0.2, 0.7]]), np.array([[0.3], [5e-10]]))
+    m = Matching([(0, 0)])
+    assert is_stable_ntu(u, m)
+    assert _ntu_side_choice(u, m.pairs) == 0.0
+    search, grid, stacked, exact = _three_paths(u, [m] * 3)
+    assert search == grid == stacked.tolist() == [0.0] * 3
+    assert exact.all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gains_at_the_tolerance_match_side_choice_oracle(seed):
+    # Provider values on quarter-integers shifted by 0, +-TOL or 2 TOL: a provider's gains land on or next to 0,
+    # +-TOL, +-2 TOL and +-3 TOL, on both sides of the line between a gain that blocks and one that does not.
+    # Customer values stay on quarters, so no two customer gains lie within TOL of each other and the search's
+    # customer subsidies are the oracle's full gains.
+    rng = np.random.default_rng(seed)
+    shifts = np.array([0.0, GAIN_TOL, -GAIN_TOL, 2 * GAIN_TOL])
+    compared = near = 0
+    for _ in range(60):
+        for n_c, n_p in [(n_c, n_p) for n_c in range(1, 4) for n_p in range(1, 5)]:
+            cv = rng.integers(-2, 3, (n_c, n_p)) / 4.0
+            pv = rng.integers(-2, 3, (n_p, n_c)) / 4.0 + rng.choice(shifts, (n_p, n_c))
+            u = UtilityMatrix(cv, pv)
+            matchings = [_random_matching(rng, n_c, n_p) for _ in range(4)]
+            oracle = [_ntu_side_choice(u, m.pairs) for m in matchings]
+            search, grid, stacked, exact = _three_paths(u, matchings)
+            assert search == pytest.approx(oracle, abs=1e-12)
+            assert grid == pytest.approx(oracle, abs=1e-12)
+            assert stacked[exact].tolist() == pytest.approx(np.array(oracle)[exact].tolist(), abs=1e-12)
+            compared += len(matchings)
+            near += sum(0.0 < w < 10 * GAIN_TOL for w in oracle)
+    assert near >= compared // 50, (near, compared)
