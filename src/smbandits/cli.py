@@ -60,19 +60,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
     config = load_config(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = env.sweep([config], threads=args.threads)
-    traces = results[config.name]
-    write_trace_csv(out_dir / f"{config.name}_trace.csv", traces)
-    summary = env.summarize(traces)
-    summary["name"] = config.name
-    summary["horizon"] = config.horizon
-    summary["policy"] = config.policy.kind
-    (out_dir / f"{config.name}_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {out_dir / (config.name + '_trace.csv')}")
-    print(f"wrote {out_dir / (config.name + '_summary.json')}")
+    paths = [out_dir / f"{config.name}_{part}" for part in ("trace.csv", "summary.json")]
+    # Made before any replica runs; an OSError here or in a write (--out names a file, say) is an input error.
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+    traces = env.sweep([config], threads=args.threads)[config.name]
+    summary = {**env.summarize(traces), "name": config.name, "horizon": config.horizon, "policy": config.policy.kind}
+    try:
+        write_trace_csv(paths[0], traces)
+        paths[1].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .confidence import ConfidenceConfig
-from .environment import POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
+from .environment import _NUMBER_MAX, POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
 from .errors import ConfigError
 from .market import Matching, MarketOutcome, UtilityMatrix
 from .policies import _EPSILON_MAX
@@ -23,11 +23,8 @@ SCHEMA_VERSION = 1
 
 _CLASSES = ("unstructured", "typed", "linear")
 
-# The bound on every JSON number's magnitude. Gaussian feedback is mean + sigma * z, and numpy's ziggurat sampler
-# keeps |z| < 14: below this bound |sigma * z| is under half an ulp of the largest double (2**970, about 1e292), so
-# every draw is finite for every finite mean. A scored gain or floor of values and transfers within it is below
-# 6e290, so every sum of one term per agent stays finite for any market under 10**17 agents.
-_NUMBER_MAX = 1e290
+# Every JSON number keeps the sigma bound ``_NUMBER_MAX``. A scored gain or floor of values and transfers within it
+# is below 6e290, so every sum of one term per agent stays finite for any market under 10**17 agents.
 _NUMBER_RULE = f"finite, of magnitude at most {_NUMBER_MAX:g}"
 
 _NUMBER = (int, float)

@@ -102,6 +102,12 @@ class NoiseSpec:
     sigma: float = 1.0
 
 
+# The bound on sigma, and on every number of a config. Gaussian feedback is mean + sigma * z, and numpy's ziggurat
+# sampler keeps |z| < 14: below this bound |sigma * z| is under half an ulp of the largest double (2**970, about
+# 1e292), so every draw is finite for every utility in [-1, 1].
+_NUMBER_MAX = 1e290
+
+
 @dataclass(frozen=True)
 class MarketInstance:
     truth: UtilityMatrix
@@ -320,7 +326,7 @@ def run(
     horizon: int,
     record_outcomes: bool = False,
 ) -> RegretTrace:
-    """Execute one replica: deterministic in (instance.seed, spec, horizon).
+    """Execute one replica: deterministic in (instance.seed, spec, horizon), after ``_check`` accepts the instance.
 
     A round does only what the learner reads: arrivals, ``policy.step`` and the decision's width, bound and
     revenue. The rest waits for the end of a block of rounds (``_BLOCK_CELLS``, ``_BLOCK_ROUNDS``): ``_judge_block``
@@ -329,11 +335,12 @@ def run(
     sets change through nothing else), and a ``revenue_frictions`` round's ``stable_truth`` is the eps-stability of
     its published outcome at the policy's fee. ``record_outcomes`` keeps each round's scored outcome on the trace.
 
-    A round that would replay the last one skips ``step``: when every agent arrives, the upper bounds are bytewise
-    those the policy's memoised outcome was selected on, and that outcome is the one last scored, ``_replay`` plays
-    the rounds that follow in one scalar pass, up to the first whose fold moves an upper bound and short of the
-    round that ends the block. ``_replayed`` says whether the pass may stand in for the policy's rounds.
+    A round that would replay the last one skips ``step``: when every agent arrives, ``_replayed`` says once per run
+    whether the pass may stand in for the policy's rounds. If it may, the memoised outcome is the one last scored,
+    and whenever the upper bounds are bytewise those it was selected on, ``_replay`` plays the rounds that follow in
+    one scalar pass, up to the first whose fold moves an upper bound and short of the round that ends the block.
     """
+    _check(instance)
     policy = spec.build(instance, horizon)
     conf = policy.conf
     arrivals_rng = stream_rng(instance.seed, _STREAM_ARRIVALS)
@@ -356,11 +363,12 @@ def run(
     source = np.arange(horizon)  # the round whose judgement each round copies
     # All arrivals: the same two read-only arrays every round.
     every = instance.arrival.kind == "all" and tuple(np.frombuffer(np.arange(n).tobytes(), int) for n in (n_c, n_p))
-    memoised = _replayed(policy) if every else None
+    replays = every and _replayed(policy)
     judged, published, records, snaps, cells, start = [], [], [], [], 0, 0
 
     def feedback(matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-        return _observe(values, conf._positions(matching), instance.noise, noise_rng)
+        draws = _draws(values, conf._positions(matching), instance.noise, noise_rng)
+        return draws[0::2], draws[1::2]
 
     t = 0
     while t < horizon:
@@ -372,8 +380,7 @@ def run(
         else:
             records.append((written, conf.lo[written], conf.hi[written]))
         cells += values.size if records[-1] is None else len(written)
-        key = policy._memo_key
-        if memoised and last and last[0] is policy._memo_value and key[0] is memoised and key[-1] == conf.hi.tobytes():
+        if replays and last and policy._memo_key[-1] == conf.hi.tobytes():
             pos = conf._positions(last[0].matching)
             # Each round adds its record and one cell; the round that reaches a cap ends the block, stepwise.
             cap = -((cells + 1 - _BLOCK_CELLS) // (pos.size + 1))
@@ -443,17 +450,19 @@ _HOOKS = {
 }
 
 
-def _replayed(policy: pol.Policy):
-    """The function whose memoised outcome ``policy`` replays, if ``_replay`` may stand in for its rounds: a
-    ``_MEMOISED`` policy class on unstructured sets, with every hook in ``_HOOKS`` as defined. None otherwise."""
+def _replayed(policy: pol.Policy) -> bool:
+    """Whether ``_replay`` may stand in for the rounds of ``policy``: a ``_MEMOISED`` policy class on unstructured
+    sets, with every hook in ``_HOOKS`` as defined and the memoised function still the module's own. Then every
+    round the policy plays on all arrivals scores its memoised outcome, keyed on ``conf.hi`` alone."""
     conf = policy.conf
-    if type(policy) not in _MEMOISED or type(conf) is not UnstructuredConfidence:
-        return None
-    for owner in (policy, conf):
-        for name, fn in _HOOKS[type(owner)].items():
-            if getattr(type(owner), name) is not fn or name in vars(owner):
-                return None
-    return _MEMOISED[type(policy)]
+    fn = _MEMOISED.get(type(policy))
+    if fn is None or type(conf) is not UnstructuredConfidence or getattr(pol, fn.__name__) is not fn:
+        return False
+    return all(
+        getattr(type(owner), name) is hook and name not in vars(owner)
+        for owner in (policy, conf)
+        for name, hook in _HOOKS[type(owner)].items()
+    )
 
 
 def _replay(
@@ -466,45 +475,36 @@ def _replay(
     rounds: int,
     records: list,
 ) -> list[float]:
-    """Play up to ``rounds`` rounds, from the next on, that replay the last one: each round's width, then its
+    """Play up to ``rounds`` >= 1 rounds, from the next on, that replay the last one: each round's width, then its
     feedback at the played buffer positions ``pos``, folded into ``conf``. Stops after the first round whose fold
-    moves a byte of ``hi`` (-0.0 against 0.0 too; the round after selects afresh) and before a round with a
-    non-finite reward (``update`` raises on it). Returns the width of each round played. Appends the containment
-    record of each but the first, whose record the caller took, and leaves the last fold in the buffers and in
-    ``conf.written``.
+    moves a byte of ``hi`` (-0.0 against 0.0 too; the round after selects afresh); every draw is finite (see
+    ``_NUMBER_MAX``). Returns the width of each round played. Appends the containment record of each but the first,
+    whose record the caller took, and leaves the last fold in the buffers and in ``conf.written``.
 
     The noise is drawn for chunks of rounds, doubling in size; a pass that stops inside a chunk puts the stream
     back to the end of the draws of the rounds it played, where the rounds played one at a time would leave it."""
     plist = pos.tolist()
     lo, hi = conf.lo[pos].tolist(), conf.hi[pos].tolist()
     widths: list[float] = []
-    chunk = 8
-    while len(widths) < rounds:
+    chunk, moved = 8, False
+    while len(widths) < rounds and not moved:
         n = min(chunk, rounds - len(widths))
         state = rng.bit_generator.state
-        draws = _draws(values, pos, noise, rng, n)
-        finite = np.isfinite(draws)
-        folds = conf._fold(plist, draws.tolist(), horizon)
-        played, moved = 0, False
-        for lo_next, hi_next in itertools.islice(folds, n if finite.all() else int(finite.argmin()) // pos.size):
+        folds = conf._fold(plist, _draws(values, pos, noise, rng, n).tolist(), horizon)
+        for played, (lo_next, hi_next) in enumerate(itertools.islice(folds, n), 1):
             if widths:
                 records.append((pos, lo, hi))
             widths.append(_width(lo, hi))
-            played += 1
             moved = not _same_bytes(hi_next, hi)
             lo, hi = lo_next, hi_next
             if moved:
                 break
         if played < n:
             rng.bit_generator.state = state
-            if played:
-                _draws(values, pos, noise, rng, played)
-        if moved or played < n:
-            break
+            _draws(values, pos, noise, rng, played)
         chunk *= 2
-    if widths:
-        conf.lo[pos], conf.hi[pos] = lo, hi
-        conf.written = pos
+    conf.lo[pos], conf.hi[pos] = lo, hi
+    conf.written = pos
     return widths
 
 
@@ -561,6 +561,21 @@ def _containment(values: np.ndarray, records: list, snaps: list) -> np.ndarray:
     return missed[seg] + total - total[snap][seg] == 0
 
 
+def _check(instance: MarketInstance) -> None:
+    """Raise ConfigError unless the rounds of ``run`` may trust ``instance``: a known arrival kind, with a non-empty
+    schedule for ``fixed``; a known noise kind, with sigma in [0, ``_NUMBER_MAX``]; and every utility in [-1, 1],
+    the range of the confidence sets, or in [0, 1] under Bernoulli feedback. Config input keeps these rules."""
+    arrival, noise, truth = instance.arrival, instance.noise, instance.truth
+    if arrival.kind not in ("all", "iid_subset", "fixed") or arrival.kind == "fixed" and not arrival.schedule:
+        raise ConfigError(f"arrival: expected all, iid_subset or fixed with a non-empty schedule, got {arrival}")
+    if noise.kind not in ("gaussian", "bernoulli") or not 0.0 <= noise.sigma <= _NUMBER_MAX:
+        raise ConfigError(f"noise: expected gaussian or bernoulli with sigma in [0, {_NUMBER_MAX:g}], got {noise}")
+    low = 0.0 if noise.kind == "bernoulli" else -1.0
+    for values in (truth.customer_values, truth.provider_values):
+        if not (low <= values.min(initial=low) and values.max(initial=1.0) <= 1.0):
+            raise ConfigError(f"truth: {noise.kind} feedback needs every utility in [{low:g}, 1]")
+
+
 def _draw_arrivals(
     spec: ArrivalSpec, n_c: int, n_p: int, t: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -568,37 +583,20 @@ def _draw_arrivals(
         cust = np.flatnonzero(rng.random(n_c) < spec.probability)
         prov = np.flatnonzero(rng.random(n_p) < spec.probability)
         return cust, prov
-    if spec.kind == "fixed":
-        cust_t, prov_t = spec.schedule[t % len(spec.schedule)]
-        return np.asarray(cust_t, dtype=int), np.asarray(prov_t, dtype=int)
-    raise ConfigError(f"unknown arrival kind {spec.kind!r}")
-
-
-def _observe(
-    values: np.ndarray, pos: np.ndarray, noise: NoiseSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy rewards (customer side, provider side), aligned with a matching's pairs, of the true
-    utilities ``values``, laid out like ``conf.lo``, at the pairs' buffer positions ``pos``:
-    customer 0, provider 0, customer 1, ..., which is also the order of the draws."""
-    draws = _draws(values, pos, noise, rng)
-    return draws[0::2], draws[1::2]
+    cust_t, prov_t = spec.schedule[t % len(spec.schedule)]
+    return np.asarray(cust_t, dtype=int), np.asarray(prov_t, dtype=int)
 
 
 def _draws(
     values: np.ndarray, pos: np.ndarray, noise: NoiseSpec, rng: np.random.Generator, rounds: int = 1
 ) -> np.ndarray:
-    """Noisy rewards of ``rounds`` rounds that each observe the true utilities ``values`` at the buffer positions
-    ``pos``, round after round, each in the order of ``pos``: the stream's draws in the order it gives them."""
-    if not len(pos):
-        return np.empty(0)
+    """Noisy rewards of ``rounds`` rounds that each observe the true utilities ``values``, laid out like ``conf.lo``,
+    at the buffer positions ``pos`` (a matching's are customer 0, provider 0, customer 1, ...), round after round,
+    each in the order of ``pos``: the stream's draws in the order it gives them. ``_check`` has passed the noise."""
     means = values[pos] if rounds == 1 else np.tile(values[pos], rounds)
     if noise.kind == "gaussian":
         return means + noise.sigma * rng.standard_normal(means.size)
-    if noise.kind == "bernoulli":
-        if means.min() < 0.0 or means.max() > 1.0:
-            raise ConfigError("bernoulli feedback needs utilities in [0, 1]")
-        return (rng.random(means.size) < means).astype(float)
-    raise ConfigError(f"unknown noise kind {noise.kind!r}")
+    return (rng.random(means.size) < means).astype(float)
 
 
 def _restrict_outcome(outcome: MarketOutcome, cust: np.ndarray, prov: np.ndarray) -> MarketOutcome:

@@ -382,6 +382,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a_file", "below_a_file"])
+    def test_out_at_a_file_exits_two_before_any_replica(self, tmp_path, capsys, monkeypatch, below):
+        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=10))
+        (tmp_path / "file").write_text("kept\n")
+        replicas = []
+        monkeypatch.setattr(smbandits.environment, "run", lambda *args, **kwargs: replicas.append(args))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "file" / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert replicas == [] and (tmp_path / "file").read_text() == "kept\n"
+
+    def test_out_that_cannot_take_the_trace_exits_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", base_config(horizon=10))
+        (tmp_path / "out" / "cell_trace.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+
 
 class TestScoreCommand:
     def test_golden_example(self, tmp_path, capsys):

@@ -16,6 +16,8 @@ from smbandits.confidence import (
 )
 from smbandits.market import Matching
 
+pytestmark = pytest.mark.byte_pinned
+
 NARROW = ConfidenceConfig(ucb_scale=0.3, lin_beta_d_coeff=0.02, lin_beta_log_coeff=0.02)
 
 

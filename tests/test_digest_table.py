@@ -29,6 +29,8 @@ from smbandits import environment as env
 from smbandits.confidence import ConfidenceConfig
 from smbandits.market import UtilityMatrix
 
+pytestmark = pytest.mark.byte_pinned
+
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 

@@ -13,7 +13,7 @@ from smbandits.environment import (
     PolicySpec,
     SweepCell,
     UnstructuredClass,
-    _observe,
+    _draws,
     gen_hard_instance,
     gen_instance,
     run,
@@ -208,10 +208,12 @@ class TestRunLoop:
 
 
 def observe(truth, matching, noise, rng):
-    """One round's feedback on ``matching``, read at the buffer positions of its sets."""
+    """One round's feedback on ``matching``, drawn at the buffer positions of its sets and split into the customer
+    and the provider side, as ``run`` splits it."""
     values = np.concatenate((truth.customer_values, truth.provider_values), axis=None)
     conf = UnstructuredConfidence(truth.num_customers, truth.num_providers)
-    return _observe(values, conf._positions(matching), noise, rng)
+    draws = _draws(values, conf._positions(matching), noise, rng)
+    return draws[0::2], draws[1::2]
 
 
 class TestNoise:
@@ -228,9 +230,7 @@ class TestNoise:
 
     def test_bernoulli_requires_unit_interval(self):
         truth = UtilityMatrix(np.array([[-0.2]]), np.array([[0.4]]))
-        rng = stream_rng(6, 2)
-        with pytest.raises(ConfigError):
-            observe(truth, Matching([(0, 0)]), NoiseSpec(kind="bernoulli"), rng)
+        fails_before_round_0(MarketInstance(truth, UnstructuredClass(), ArrivalSpec(), NoiseSpec("bernoulli"), 6))
 
     def test_bernoulli_mean_converges(self):
         inst = gen_hard_instance(2, 100, seed=7)
@@ -240,6 +240,60 @@ class TestNoise:
         assert set(vals) <= {0.0, 1.0}
         target = inst.truth.customer_values[0, 0]
         assert abs(np.mean(vals) - target) < 3.0 * 0.5 / math.sqrt(3000)
+
+
+class CountingSpec:
+    """A ``match_ucb`` spec that counts the policies it builds."""
+
+    kind = "match_ucb"
+    built = 0
+
+    def build(self, instance, horizon):
+        self.built += 1
+        return PolicySpec(self.kind).build(instance, horizon)
+
+
+def fails_before_round_0(instance):
+    """Assert that ``run`` raises one ConfigError on ``instance`` before it builds the policy."""
+    spec = CountingSpec()
+    with pytest.raises(ConfigError):
+        run(instance, spec, 20)
+    assert spec.built == 0
+
+
+class TestRunStartCheck:
+    """``run`` checks what its rounds rely on before round 0: each case here failed during the run, or not at all."""
+
+    @staticmethod
+    def instance(arrival=ArrivalSpec(), noise=NoiseSpec(), cv=((0.5, -0.3),), pv=((0.4,), (0.6,))):
+        truth = UtilityMatrix(np.array(cv), np.array(pv))
+        return MarketInstance(truth, UnstructuredClass(), arrival, noise, 3)
+
+    def test_fixed_schedule_without_entries(self):
+        fails_before_round_0(self.instance(arrival=ArrivalSpec(kind="fixed")))
+
+    def test_unknown_arrival_kind(self):
+        fails_before_round_0(self.instance(arrival=ArrivalSpec(kind="poisson")))
+
+    def test_unknown_noise_kind(self):
+        fails_before_round_0(self.instance(noise=NoiseSpec(kind="laplace")))
+
+    @pytest.mark.parametrize("sigma", [math.nan, -0.5, 1e291, math.inf])
+    def test_sigma_outside_its_range(self, sigma):
+        fails_before_round_0(self.instance(noise=NoiseSpec(sigma=sigma)))
+
+    def test_utility_outside_unit_range(self):
+        fails_before_round_0(self.instance(pv=((0.4,), (1.5,))))
+
+    def test_bernoulli_utility_below_zero_at_a_pair_never_played(self):
+        # Only customer 0 and provider 0 arrive, so the pair (0, 1) at -0.3 is never drawn.
+        arrival = ArrivalSpec(kind="fixed", schedule=(((0,), (0,)),))
+        fails_before_round_0(self.instance(arrival=arrival, noise=NoiseSpec(kind="bernoulli")))
+
+    def test_bounds_of_the_ranges_run(self):
+        for noise, low in ((NoiseSpec(sigma=1e290), -1.0), (NoiseSpec(kind="bernoulli", sigma=0.0), 0.0)):
+            trace = run(self.instance(noise=noise, cv=((low, 1.0),), pv=((1.0,), (low,))), PolicySpec("match_ucb"), 20)
+            assert trace.horizon == 20
 
 
 class TestSweep:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from smbandits.confidence import UnstructuredConfidence
-from smbandits.environment import NoiseSpec, _observe, _restrict_outcome, gen_hard_instance, stream_rng
+from smbandits.environment import NoiseSpec, _draws, _restrict_outcome, gen_hard_instance, stream_rng
 from smbandits.errors import ConfigError
 from smbandits.market import Matching, MarketOutcome, UtilityMatrix, assignment_with_duals, lists_all_in_order
 from smbandits.policies import _outcome_from_duals
+
+pytestmark = pytest.mark.byte_pinned
 
 # -- references ----------------------------------------------------------------
 
@@ -206,7 +208,8 @@ def test_observe_matches_the_pair_loop(noise):
             ci = rng.permutation(truth.num_customers)[:k]
             pj = rng.permutation(truth.num_providers)[:k]
             matching = Matching(list(zip(ci.tolist(), pj.tolist())))
-            new = _observe(values, conf._positions(matching), noise, draws_new)
+            draws = _draws(values, conf._positions(matching), noise, draws_new)
+            new = draws[0::2], draws[1::2]
             ref = ref_observe(truth, matching, noise, draws_ref)
             assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
             # The same draws were taken: none for an empty matching.

@@ -23,6 +23,8 @@ from smbandits.market import (
     stable_outcome_from_duals,
 )
 
+pytestmark = pytest.mark.byte_pinned
+
 
 def scaled(u: UtilityMatrix, factor: float) -> UtilityMatrix:
     return UtilityMatrix(u.customer_values * factor, u.provider_values * factor)

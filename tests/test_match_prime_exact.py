@@ -23,6 +23,8 @@ from smbandits.policies import (
     expanded_upper_bounds,
 )
 
+pytestmark = pytest.mark.byte_pinned
+
 # -- reference: the two-dual-pass version --------------------------------------
 
 

@@ -28,6 +28,8 @@ from smbandits.instability import (
 )
 from smbandits.market import Matching, MarketOutcome, UtilityMatrix
 
+pytestmark = pytest.mark.byte_pinned
+
 PROPERTY = settings(max_examples=500, deadline=None, database=None, derandomize=True)
 
 QUARTERS = st.sampled_from([-1.0, -0.75, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])

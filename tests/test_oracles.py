@@ -4,11 +4,12 @@ The oracles share no code with ``market.py`` or the solvers of
 ``instability.py``: the primal weight comes from networkx's blossom matching,
 the TU instability value from HiGHS on the minimum-subsidy linear program,
 and the NTU instability value from an enumeration over the raw utilities of
-which side silences each blocking pair. The TU inputs are an imbalanced
-hard-family market (4x360, one value repeated across whole blocks) and a
-30x50 market of small integer utilities, where optimal matchings and
-witnesses are far from unique. The NTU inputs are random and quarter-integer
-markets up to 3x4.
+which side silences each blocking pair. The TU inputs are two imbalanced
+hard-family markets (4x360 and 8x800, one value repeated across whole
+blocks), a 30x50 market of small integer utilities, where optimal matchings
+and witnesses are far from unique, and a 6x8 integer market whose agents come
+in identical pairs, so that optimal matchings and subsidies tie. The NTU
+inputs are random and quarter-integer markets up to 3x4.
 """
 
 import itertools
@@ -44,6 +45,10 @@ def _hard_market() -> UtilityMatrix:
     return gen_hard_instance(4, 1000, seed=5).truth
 
 
+def _hard_8x800() -> UtilityMatrix:
+    return gen_hard_instance(8, 2000, seed=5).truth
+
+
 def _integer_market() -> UtilityMatrix:
     rng = np.random.default_rng(31)
     return UtilityMatrix(
@@ -52,7 +57,20 @@ def _integer_market() -> UtilityMatrix:
     )
 
 
-MARKETS = {"hard_4x360": _hard_market, "integer_30x50": _integer_market}
+def _twin_market() -> UtilityMatrix:
+    """Three customers and four providers on small integers, each agent cloned: twins value and are valued alike."""
+    rng = np.random.default_rng(41)
+    cust, prov = np.repeat(np.arange(3), 2), np.repeat(np.arange(4), 2)
+    cv, pv = rng.integers(-1, 4, (3, 4)).astype(float), rng.integers(-1, 4, (4, 3)).astype(float)
+    return UtilityMatrix(cv[np.ix_(cust, prov)], pv[np.ix_(prov, cust)])
+
+
+MARKETS = {
+    "hard_4x360": _hard_market,
+    "hard_8x800": _hard_8x800,
+    "integer_30x50": _integer_market,
+    "twins_6x8": _twin_market,
+}
 
 
 def _near_stable_outcome(u: UtilityMatrix, seed: int) -> MarketOutcome:
@@ -239,6 +257,29 @@ def test_a_provider_gain_within_tol_does_not_block():
     search, grid, stacked, exact = _three_paths(u, [m] * 3)
     assert search == grid == stacked.tolist() == [0.0] * 3
     assert exact.all()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="within TOL the search charges a provider the full largest uncovered gain but lets a customer subsidy sit "
+    "up to TOL below the gain it covers (on seed 0, 46 of 2 880 matchings differ, each by about TOL)",
+)
+def test_gains_at_the_tolerance_on_both_sides_match_side_choice_oracle():
+    # As the provider-side property below, with customer values shifted too: customer gains then land within TOL
+    # of each other.
+    rng = np.random.default_rng(0)
+    shifts = np.array([0.0, GAIN_TOL, -GAIN_TOL, 2 * GAIN_TOL])
+    differ = []
+    for _ in range(60):
+        for n_c, n_p in [(n_c, n_p) for n_c in range(1, 4) for n_p in range(1, 5)]:
+            cv = rng.integers(-2, 3, (n_c, n_p)) / 4.0 + rng.choice(shifts, (n_c, n_p))
+            pv = rng.integers(-2, 3, (n_p, n_c)) / 4.0 + rng.choice(shifts, (n_p, n_c))
+            u = UtilityMatrix(cv, pv)
+            for m in [_random_matching(rng, n_c, n_p) for _ in range(4)]:
+                search, oracle = ntu_subset_instability(u, m).value, _ntu_side_choice(u, m.pairs)
+                if search != pytest.approx(oracle, abs=1e-12):
+                    differ.append((n_c, n_p, search, oracle))
+    assert differ == []
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -18,6 +18,8 @@ from smbandits import policies as pol
 from smbandits.confidence import ConfidenceConfig, UnstructuredConfidence
 from smbandits.market import Matching, UtilityMatrix
 
+pytestmark = pytest.mark.byte_pinned
+
 UCB, NTU = env.PolicySpec("match_ucb"), env.PolicySpec("match_ntu_ucb")
 # At interval constant 1 a played upper bound leaves the clip at 1 within a few pulls, inside a pass.
 NARROW = ConfidenceConfig(ucb_scale=1.0)

@@ -20,6 +20,8 @@ from smbandits.errors import UncertifiedDuals
 from smbandits.market import Matching, _duals_for_matching, _positive_assignment, assignment_with_duals
 from smbandits.policies import all_arrivals, compute_match, compute_match_ntu
 
+pytestmark = pytest.mark.byte_pinned
+
 # -- references ----------------------------------------------------------------
 
 _DUAL_RTOL = 1e-9

@@ -24,6 +24,8 @@ from smbandits.confidence import ConfidenceConfig
 from smbandits.errors import InvalidOutcome
 from smbandits.market import MarketOutcome
 
+pytestmark = pytest.mark.byte_pinned
+
 CAPS = (1, 2, 3, 60, 700)
 
 IID = env.ArrivalSpec(kind="iid_subset", probability=0.5)
