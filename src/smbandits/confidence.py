@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,16 @@ def _clip_intervals(mean: np.ndarray, hw: np.ndarray) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
+@lru_cache(maxsize=64)
+def _pair_positions(n_c: int, n_p: int) -> np.ndarray:
+    """The read-only table, one per market shape, of both buffer positions of each pair: i * n_p + j, then
+    n_c * n_p + j * n_c + i, at [i, j]."""
+    cells = np.arange(2 * n_c * n_p)
+    table = np.stack((cells[: n_c * n_p].reshape(n_c, n_p), cells[n_c * n_p :].reshape(n_p, n_c).T), 2)
+    table.flags.writeable = False
+    return table
+
+
 class ConfidenceSets:
     """Common interval surface; subclasses own the update rule.
 
@@ -101,9 +112,6 @@ class ConfidenceSets:
         self.hi_c, self.hi_p = self._blocks(self.hi)
         self.written: np.ndarray | None = None
         self._placed: tuple[Matching | None, np.ndarray | None] = (None, None)
-        # Both buffer positions of every pair (i, j): i * nJ + j and nI * nJ + j * nI + i.
-        c, p = self._blocks(np.arange(self.lo.size))
-        self._pair_positions = np.stack((c, p.T), 2)
 
     def _blocks(self, buffer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The customer-side and provider-side matrices viewing ``buffer``."""
@@ -114,7 +122,8 @@ class ConfidenceSets:
         """Buffer positions of the matched cells, customer 0, provider 0, customer 1, ...,
         gathered at the matching's index arrays. The last matching's are kept."""
         if self._placed[0] is not matching:
-            self._placed = matching, self._pair_positions[matching.index_arrays].reshape(-1)
+            table = _pair_positions(self.num_customers, self.num_providers)
+            self._placed = matching, table[matching.index_arrays].reshape(-1)
         return self._placed[1]
 
     # -- updates ------------------------------------------------------------

@@ -478,13 +478,15 @@ def _replay(
     """Play up to ``rounds`` >= 1 rounds, from the next on, that replay the last one: each round's width, then its
     feedback at the played buffer positions ``pos``, folded into ``conf``. Stops after the first round whose fold
     moves a byte of ``hi`` (-0.0 against 0.0 too; the round after selects afresh); every draw is finite (see
-    ``_NUMBER_MAX``). Returns the width of each round played. Appends the containment record of each but the first,
-    whose record the caller took, and leaves the last fold in the buffers and in ``conf.written``.
+    ``_NUMBER_MAX``). Returns each round's width. For each but the first (the caller took its record) appends its count
+    of played intervals missing ``values``, less the first's. Leaves the last fold written to ``conf``.
 
     The noise is drawn for chunks of rounds, doubling in size; a pass that stops inside a chunk puts the stream
     back to the end of the draws of the rounds it played, where the rounds played one at a time would leave it."""
-    plist = pos.tolist()
+    plist, truth = pos.tolist(), values[pos].tolist()
     lo, hi = conf.lo[pos].tolist(), conf.hi[pos].tolist()
+    clip = [-1.0] * len(lo), [1.0] * len(hi)  # intervals that hold every utility _check accepts
+    first = _misses(lo, hi, truth)
     widths: list[float] = []
     chunk, moved = 8, False
     while len(widths) < rounds and not moved:
@@ -493,7 +495,7 @@ def _replay(
         folds = conf._fold(plist, _draws(values, pos, noise, rng, n).tolist(), horizon)
         for played, (lo_next, hi_next) in enumerate(itertools.islice(folds, n), 1):
             if widths:
-                records.append((pos, lo, hi))
+                records.append((0 if (lo, hi) == clip else _misses(lo, hi, truth)) - first)
             widths.append(_width(lo, hi))
             moved = not _same_bytes(hi_next, hi)
             lo, hi = lo_next, hi_next
@@ -506,6 +508,11 @@ def _replay(
     conf.lo[pos], conf.hi[pos] = lo, hi
     conf.written = pos
     return widths
+
+
+def _misses(lo: list[float], hi: list[float], truth: list[float]) -> int:
+    """How many intervals [lo, hi] miss the aligned ``truth`` by more than TOL, as ``_containment`` tests them."""
+    return sum(not a - TOL <= v <= b + TOL for a, v, b in zip(lo, truth, hi))
 
 
 def _same_bytes(a: list[float], b: list[float]) -> bool:
@@ -539,17 +546,18 @@ def _judge_block(trace: RegretTrace, truth: UtilityMatrix, judged: list[tuple], 
 
 def _containment(values: np.ndarray, records: list, snaps: list) -> np.ndarray:
     """Per round, whether every interval holds the truth ``values`` (laid out like ``lo``) within TOL. A record is
-    None for the next of ``snaps``, every cell's flag (a block starts with one), or the positions an update rewrote
-    with their new ``lo`` and ``hi``; a stable sort by (snapshot, position) pairs each write with the flag it
-    replaces, and a cumulative sum of the changes counts the misses."""
+    None for the next of ``snaps``, every cell's flag (a block starts with one); the positions an update rewrote
+    with their new ``lo`` and ``hi``; or a replayed round's misses less those of its pass's first round. A stable
+    sort by (snapshot, position) pairs each write with the flag it replaces; cumulative sums count the misses."""
     snap = np.array([r is None for r in records])
     seg = snap.cumsum() - 1  # the snapshot each round builds on
     missed = values.size - np.array([np.count_nonzero(h) for h in snaps])
-    sizes = [0 if r is None else len(r[0]) for r in records]
+    replayed = np.array([r if type(r) is int else 0 for r in records])
+    sizes = [len(r[0]) if type(r) is tuple else 0 for r in records]
     ends = np.cumsum(sizes)
     change = np.zeros(ends[-1] + 1, dtype=np.int64)  # change[1 + e]: the count's change at write e
     if ends[-1]:
-        pos, lo, hi = (np.concatenate([r[i] for r in records if r is not None and len(r[0])]) for i in range(3))
+        pos, lo, hi = (np.concatenate([r[i] for r in records if type(r) is tuple and len(r[0])]) for i in range(3))
         now = (lo - TOL <= values[pos]) & (values[pos] <= hi + TOL)
         key = np.repeat(seg, sizes) * values.size + pos  # the flat index into snaps of the flag a write replaces
         order = key.argsort(kind="stable")
@@ -558,16 +566,23 @@ def _containment(values: np.ndarray, records: list, snaps: list) -> np.ndarray:
         before = np.where(first, np.concatenate(snaps)[key], np.concatenate(([False], now[:-1])))
         change[1 + order] = before.view(np.int8) - now.view(np.int8)
     total = np.cumsum(change)[ends]
-    return missed[seg] + total - total[snap][seg] == 0
+    return missed[seg] + total - total[snap][seg] + replayed == 0
 
 
 def _check(instance: MarketInstance) -> None:
-    """Raise ConfigError unless the rounds of ``run`` may trust ``instance``: a known arrival kind, with a non-empty
-    schedule for ``fixed``; a known noise kind, with sigma in [0, ``_NUMBER_MAX``]; and every utility in [-1, 1],
-    the range of the confidence sets, or in [0, 1] under Bernoulli feedback. Config input keeps these rules."""
+    """Raise ConfigError unless ``run`` may trust ``instance``, by config's rules: a known arrival kind, p in (0, 1] for
+    ``iid_subset``, a non-empty ``fixed`` schedule, distinct agent indices in range on each side of an entry; a known
+    noise kind, sigma in [0, ``_NUMBER_MAX``]; every utility in [-1, 1], or [0, 1] under Bernoulli feedback."""
     arrival, noise, truth = instance.arrival, instance.noise, instance.truth
     if arrival.kind not in ("all", "iid_subset", "fixed") or arrival.kind == "fixed" and not arrival.schedule:
         raise ConfigError(f"arrival: expected all, iid_subset or fixed with a non-empty schedule, got {arrival}")
+    if arrival.kind == "iid_subset" and not 0.0 < arrival.probability <= 1.0:
+        raise ConfigError(f"arrival: iid_subset needs a probability in (0, 1], got {arrival.probability}")
+    for entry in arrival.schedule:
+        for side, n in zip(entry, (truth.num_customers, truth.num_providers)):
+            indices = all(isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < n for x in side)
+            if not indices or len(set(side)) < len(side):
+                raise ConfigError(f"arrival: expected distinct agent indices in range on each side, got {entry}")
     if noise.kind not in ("gaussian", "bernoulli") or not 0.0 <= noise.sigma <= _NUMBER_MAX:
         raise ConfigError(f"noise: expected gaussian or bernoulli with sigma in [0, {_NUMBER_MAX:g}], got {noise}")
     low = 0.0 if noise.kind == "bernoulli" else -1.0

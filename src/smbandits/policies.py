@@ -70,8 +70,8 @@ def _optimistic_outcome(
 
 
 def compute_match(conf: ConfidenceSets, arrivals: Arrivals) -> MarketOutcome:
-    """Stable-for-the-upper-bounds outcome on this round's arrivals."""
-    sub = conf.ucb_matrix().restrict(*arrivals)
+    """Stable-for-the-upper-bounds outcome on this round's arrivals, read in place from ``conf.hi``."""
+    sub = UtilityMatrix._trusted(conf.hi_c, conf.hi_p).restrict(*arrivals)
     return _optimistic_outcome(conf, arrivals, sub, sub.joint())
 
 

@@ -290,6 +290,32 @@ class TestRunStartCheck:
         arrival = ArrivalSpec(kind="fixed", schedule=(((0,), (0,)),))
         fails_before_round_0(self.instance(arrival=arrival, noise=NoiseSpec(kind="bernoulli")))
 
+    @pytest.mark.parametrize("p", [math.nan, 0.0, -0.5, 1.5])
+    def test_iid_probability_outside_its_range(self, p):
+        # A probability of NaN or 0 ran silently: no agent ever arrived.
+        fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=ArrivalSpec("iid_subset", p)))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [((5,), (0,)), ((0,), (3,)), ((-1,), (1,)), ((0, 0), (1,)), ((0,), (2, 1, 2)), ((True,), (0,)), ((0.0,), (0,))],
+        ids=["customer_beyond", "provider_beyond", "negative", "repeated", "repeated_provider", "bool", "float"],
+    )
+    def test_fixed_entry_that_is_not_distinct_indices_in_range(self, entry):
+        # A 3x3 market: an index beyond it raised IndexError, a negative one InvalidOutcome, both mid-run, and a
+        # repeated agent ran to the end.
+        arrival = ArrivalSpec(kind="fixed", schedule=(((0, 1), (2,)), entry))
+        fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=arrival))
+
+    def test_numpy_integer_indices_run_as_python_ones(self):
+        schedules = [
+            (((0, 2), (1,)), ((1,), (0, 2))),
+            ((tuple(np.arange(0, 3, 2)), (np.int32(1),)), ((np.int64(1),), (0, 2))),
+        ]
+        instances = [gen_instance("unstructured", 3, 3, 0, arrival=ArrivalSpec("fixed", schedule=s)) for s in schedules]
+        runs = [run(instance, PolicySpec("match_ucb"), 20) for instance in instances]
+        for column in ("instability", "width_sum", "certified_bound", "containment", "stable_truth"):
+            np.testing.assert_array_equal(getattr(runs[0], column), getattr(runs[1], column))
+
     def test_bounds_of_the_ranges_run(self):
         for noise, low in ((NoiseSpec(sigma=1e290), -1.0), (NoiseSpec(kind="bernoulli", sigma=0.0), 0.0)):
             trace = run(self.instance(noise=noise, cv=((low, 1.0),), pv=((1.0,), (low,))), PolicySpec("match_ucb"), 20)
