@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import environment as env
+from .confidence import ConfidenceConfig, LinearConfidence
 from .config import load_config, load_score
 from .errors import ConfigError, InvalidOutcome, SmbError
 from .instability import (
@@ -137,9 +138,32 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kept_inverse_error(rng: np.random.Generator) -> float:
+    """The worst relative error of a partner quadratic form x^T V^-1 x read from the inverses that LinearConfidence
+    keeps by rank-1 updates, after 60 random rounds at a ridge in [1e-6, 2], against a fresh inverse of each agent's
+    V = ridge * I + the outer products of its partners' contexts, one per round it was matched."""
+    dim = int(rng.integers(1, 6))
+    n = dim + 1  # agents a side, whose unit-ball contexts (the same on both sides) span the space
+    x = rng.normal(size=(n, dim))
+    ctx = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.3, 1.0, (n, 1))
+    ridge = float(np.exp(rng.uniform(np.log(1e-6), np.log(2.0))))
+    conf = LinearConfidence(ctx, ctx, ConfidenceConfig(lin_ridge=ridge))
+    V = np.tile(ridge * np.eye(dim), (2 * n, 1, 1))
+    for _ in range(60):
+        k = int(rng.integers(1, n + 1))
+        ci, pj = np.sort(rng.permutation(n)[:k]), rng.permutation(n)[:k]
+        conf.update(Matching(zip(ci.tolist(), pj.tolist())), (rng.uniform(-1, 1, k), rng.uniform(-1, 1, k)), 60)
+        x = ctx[np.concatenate((pj, ci))]
+        V[np.concatenate((ci, n + pj))] += x[:, :, None] * x[:, None, :]
+    kept = np.einsum("nd,sde,ne->sn", ctx, conf.V_inv, ctx)
+    fresh = np.einsum("nd,sde,ne->sn", ctx, np.linalg.inv(V), ctx)
+    return float((np.abs(kept - fresh) / fresh).max())
+
+
 def _verify_properties(seed: int, cases: int) -> list[str]:
     """Randomized cross-checks of the core identities; returns failure notes."""
     rng = np.random.default_rng(seed)
+    linear_rng = np.random.default_rng([seed, 1])
     failures: list[str] = []
 
     def record(cond: bool, note: str) -> None:
@@ -202,6 +226,9 @@ def _verify_properties(seed: int, cases: int) -> list[str]:
             (ntu_report.value <= 1e-9) == is_stable_ntu(u, m),
             f"case {case}: NTU zero-instability/stability mismatch",
         )
+
+        error = _kept_inverse_error(linear_rng)
+        record(error <= 1e-8, f"case {case}: kept linear inverse off a fresh inverse by {error:.2e} relative")
 
     # Short bandit run: certificate and determinism.
     instance = env.gen_instance("unstructured", 3, 3, seed=seed)

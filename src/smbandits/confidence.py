@@ -299,10 +299,9 @@ class LinearConfidence(ConfidenceSets):
         self.dim = cc.shape[1]
         self.customer_contexts = cc
         self.provider_contexts = pc
-        lam = self.config.lin_ridge
-        n_agents = self.num_agents
-        self.V = np.tile(np.eye(self.dim) * lam, (n_agents, 1, 1))
-        self.b = np.zeros((n_agents, self.dim))
+        # Each agent's V^-1, for V = ridge * I + sum of x x^T over its observed partner contexts x, and sum of r x.
+        self.V_inv = np.tile(np.eye(self.dim) / self.config.lin_ridge, (self.num_agents, 1, 1))
+        self.b = np.zeros((self.num_agents, self.dim))
 
     def beta(self, horizon: int) -> float:
         return (
@@ -311,21 +310,21 @@ class LinearConfidence(ConfidenceSets):
         )
 
     def _apply(self, matching: Matching, r_c: np.ndarray, r_p: np.ndarray, horizon: int) -> None:
-        # Each agent is matched at most once per round, so both sides stack
-        # into 2k distinct slots, customers first, for one update, solve and
-        # inverse (LAPACK treats each matrix as a one-agent call would); only
-        # centre and bonus, whose partners differ, stay per side. The matmuls
-        # match ``partners @ phi`` and ``np.linalg.norm(phi)`` to the last bit.
+        # Each agent is matched at most once per round, so both sides stack into 2k distinct slots, customers first,
+        # for one Sherman-Morrison update A - (A x)(A x)^T / (1 + x^T A x) of each kept inverse, bitwise symmetric as
+        # A is; only centre and bonus, whose partners differ, stay per side. The stacked matmuls equal ``A @ x``,
+        # ``V_inv @ b`` and ``np.linalg.norm(phi)`` to the last bit.
         cc, pc = self.customer_contexts, self.provider_contexts
         ci, pj = matching.index_arrays
         slots = np.concatenate((ci, self.num_customers + pj))
         ctx = np.concatenate((pc[pj], cc[ci]))
-        self.V[slots] = V = self.V[slots] + ctx[:, :, None] * ctx[:, None, :]
+        A = self.V_inv[slots]
+        Ax = A @ ctx[:, :, None]
+        self.V_inv[slots] = V_inv = A - Ax * Ax.transpose(0, 2, 1) / (1.0 + ctx[:, None, :] @ Ax)
         self.b[slots] = b = self.b[slots] + np.concatenate((r_c, r_p))[:, None] * ctx
-        phi = np.linalg.solve(V, b[:, :, None])[:, :, 0]
+        phi = (V_inv @ b[:, :, None])[:, :, 0]
         norm = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, :])
         np.divide(phi, norm, out=phi, where=norm > 1.0)
-        V_inv = np.linalg.inv(V)
         root_beta = np.sqrt(self.beta(horizon))
         for side, rows, partners, lo, hi in (
             (slice(None, len(ci)), ci, pc, self.lo_c, self.hi_c),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,10 @@ class ArrivalSpec:
     def __post_init__(self) -> None:
         # Each side of a schedule entry is a set of agents; the round takes
         # sorted index arrays, so the sets are sorted once, here.
-        sorted_schedule = tuple((tuple(sorted(c)), tuple(sorted(p))) for c, p in self.schedule)
+        try:
+            sorted_schedule = tuple((tuple(sorted(c)), tuple(sorted(p))) for c, p in self.schedule)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"arrival: expected a schedule of (customers, providers) index pairs: {exc}") from exc
         object.__setattr__(self, "schedule", sorted_schedule)
 
 
@@ -576,14 +580,16 @@ def _check(instance: MarketInstance) -> None:
     arrival, noise, truth = instance.arrival, instance.noise, instance.truth
     if arrival.kind not in ("all", "iid_subset", "fixed") or arrival.kind == "fixed" and not arrival.schedule:
         raise ConfigError(f"arrival: expected all, iid_subset or fixed with a non-empty schedule, got {arrival}")
-    if arrival.kind == "iid_subset" and not 0.0 < arrival.probability <= 1.0:
-        raise ConfigError(f"arrival: iid_subset needs a probability in (0, 1], got {arrival.probability}")
+    p = arrival.probability
+    if arrival.kind == "iid_subset" and not (isinstance(p, numbers.Real) and 0.0 < p <= 1.0):
+        raise ConfigError(f"arrival: iid_subset needs a probability in (0, 1], got {p!r}")
     for entry in arrival.schedule:
         for side, n in zip(entry, (truth.num_customers, truth.num_providers)):
             indices = all(isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < n for x in side)
             if not indices or len(set(side)) < len(side):
                 raise ConfigError(f"arrival: expected distinct agent indices in range on each side, got {entry}")
-    if noise.kind not in ("gaussian", "bernoulli") or not 0.0 <= noise.sigma <= _NUMBER_MAX:
+    sigma_ok = isinstance(noise.sigma, numbers.Real) and 0.0 <= noise.sigma <= _NUMBER_MAX
+    if noise.kind not in ("gaussian", "bernoulli") or not sigma_ok:
         raise ConfigError(f"noise: expected gaussian or bernoulli with sigma in [0, {_NUMBER_MAX:g}], got {noise}")
     low = 0.0 if noise.kind == "bernoulli" else -1.0
     for values in (truth.customer_values, truth.provider_values):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import smbandits
 from conftest import tu_markets_and_outcomes
 from smbandits.cli import _indented, build_parser, main
+from smbandits.confidence import LinearConfidence
 from smbandits.config import load_config, parse_config
 from smbandits.environment import sweep
 from smbandits.errors import ConfigError, SmbError
@@ -687,6 +688,21 @@ class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         assert main(["verify", "--cases", "30", "--seed", "1"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_verify_fails_on_a_wrong_linear_update(self, monkeypatch, capsys):
+        # An update that leaves the providers' inverses as they were; every other check of verify still passes.
+        apply = LinearConfidence._apply
+
+        def customers_only(self, *args):
+            providers = self.V_inv[self.num_customers :].copy()
+            apply(self, *args)
+            self.V_inv[self.num_customers :] = providers
+
+        monkeypatch.setattr(LinearConfidence, "_apply", customers_only)
+        assert main(["verify", "--cases", "3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "verify: 3 violations"
+        assert all("kept linear inverse off a fresh inverse" in line for line in err[:-1])
 
     def test_negative_cases_rejected(self, capsys):
         assert main(["verify", "--cases", "-5"]) == 2

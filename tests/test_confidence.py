@@ -32,7 +32,7 @@ class TestInit:
     def test_linear_starts_with_no_observations(self):
         ctx = np.eye(2)
         conf = LinearConfidence(ctx, ctx)
-        assert (conf.V == np.eye(2)).all() and (conf.b == 0.0).all()
+        assert (conf.V_inv == np.eye(2)).all() and (conf.b == 0.0).all()
         assert conf.hi_c[0, 1] - conf.lo_c[0, 1] == 2.0
 
     def test_context_outside_ball_rejected(self):
@@ -169,7 +169,7 @@ class TestLinearUpdate:
             j = t % 2
             m = Matching([(0, j)])
             conf.update(m, (np.array([phi[j]]), np.array([0.0])), horizon=horizon)
-        assert np.allclose(np.linalg.solve(conf.V[0], conf.b[0]), phi, atol=0.01)
+        assert np.allclose(conf.V_inv[0] @ conf.b[0], phi, atol=0.01)
         widths = [conf.hi_c[0, j] - conf.lo_c[0, j] for j in range(2)]
         fresh = LinearConfidence(ctx_c, ctx_p, ConfidenceConfig())
         assert all(w < fresh.hi_c[0, j] - fresh.lo_c[0, j] for j, w in enumerate(widths))
@@ -180,11 +180,11 @@ class TestLinearUpdate:
         conf = LinearConfidence(ctx, ctx, ConfidenceConfig())
         c = ctx[1]
         slot = 0
-        prev = float(c @ np.linalg.inv(conf.V[slot]) @ c)
+        prev = float(c @ conf.V_inv[slot] @ c)
         m = Matching([(0, 1)])
         for _ in range(50):
             conf.update(m, (np.array([rng.normal()]), np.array([rng.normal()])), horizon=100)
-            now = float(c @ np.linalg.inv(conf.V[slot]) @ c)
+            now = float(c @ conf.V_inv[slot] @ c)
             assert now <= prev + 1e-12
             prev = now
 

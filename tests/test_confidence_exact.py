@@ -65,17 +65,20 @@ def reference_typed(conf, pairs, r_c, r_p, horizon):
 
 
 def reference_linear(conf, pairs, r_c, r_p, horizon):
-    """One agent at a time; returns how many estimates were projected onto the ball."""
+    """One agent at a time, by the Sherman-Morrison recurrence on its kept inverse;
+    returns how many estimates were projected onto the ball."""
     n_c = conf.num_customers
     updated = []
     for k, (i, j) in enumerate(pairs):
         for slot, ctx, r in ((i, conf.provider_contexts[j], r_c[k]), (n_c + j, conf.customer_contexts[i], r_p[k])):
-            conf.V[slot] += np.outer(ctx, ctx)
+            A = conf.V_inv[slot]
+            Ax = A @ ctx
+            conf.V_inv[slot] = A - np.outer(Ax, Ax) / (1.0 + ctx @ Ax)
             conf.b[slot] += float(r) * ctx
             updated.append(slot)
     projected = 0
     for slot in updated:
-        phi = np.linalg.solve(conf.V[slot], conf.b[slot])
+        phi = conf.V_inv[slot] @ conf.b[slot]
         norm = np.linalg.norm(phi)
         if norm > 1.0:
             phi = phi / norm
@@ -85,8 +88,7 @@ def reference_linear(conf, pairs, r_c, r_p, horizon):
         if partners.shape[0] == 0:
             continue
         center = partners @ phi
-        vinv = np.linalg.inv(conf.V[slot])
-        bonus = np.sqrt(conf.beta(horizon)) * np.sqrt(np.einsum("nd,de,ne->n", partners, vinv, partners))
+        bonus = np.sqrt(conf.beta(horizon)) * np.sqrt(np.einsum("nd,de,ne->n", partners, conf.V_inv[slot], partners))
         lo, hi = (conf.lo_c, conf.hi_c) if customer_side else (conf.lo_p, conf.hi_p)
         row = slot if customer_side else slot - n_c
         lo[row] = np.maximum(-1.0, center - bonus)
@@ -233,7 +235,7 @@ def play_linear(rng, n_c, n_p, dim):
     projected, sizes = play(
         lambda: LinearConfidence(cc, pc, config),
         reference_linear,
-        ("V", "b"),
+        ("V_inv", "b"),
         rng, n_c, n_p,
     )
     # Rewards far outside [-1, 1] drive some estimates out of the unit ball.
@@ -258,13 +260,13 @@ def test_linear_rectangular_matches_reference(shape, dim):
 
 
 # conftest.trace_digest of two 300-round match_lin_ucb runs, recorded while
-# each side of a round was updated by its own solve and inverse:
+# every agent kept its inverse by rank-1 updates:
 # (customers, providers, seed, arrivals) and the digest.
 LINEAR_RUNS = {
-    "all_12x12": ((12, 12, 4, env.ArrivalSpec()), "6990d8c9bb2154a2b01b3523d772ce12f93377d158b236da3a2edefb33c28d2f"),
+    "all_12x12": ((12, 12, 4, env.ArrivalSpec()), "ebbff42877d2df16ee9989ccb131fcb86b826da92febc68689abb8e1477af921"),
     "iid_9x4": (
         (9, 4, 7, env.ArrivalSpec(kind="iid_subset", probability=0.6)),
-        "a179d274fa872f13e64b35f9ed7cc80ab1c3cc2ebb37d8eba54880c623f8cd38",
+        "5774c9e2e30d963b1cfc8a1144e2ba4371024b25cab2d11587c71d06b58376a2",
     ),
 }
 

@@ -97,7 +97,7 @@ RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 DIGESTS = {
     "c4/match_ucb/3": "873d7e6d4260297e08689183048c818bbe84af8aa343bfde08d169bf097f53b8",
     "c5/match_ucb/5": "ddb13b558be9f0a13e9fabcdfc9d57aa00623e575789b4ddc6ce401296ee2917",
-    "c6/match_lin_ucb/1": "8a57636d75c074d8f91026b8635abe447b0c254ec613a9dea8e1cbac24a90097",
+    "c6/match_lin_ucb/1": "5ed25990bafeaea90a1a337f5b1689ea95a9717979845917c48a83b4a9cc1b92",
     "c6/match_typed_ucb/1": "6b3bbffcee2dab8f959ca72b5d11e2b0a0e86a8f4c9f51e9abd5e41d59378959",
     "c6/match_ucb/1": "b279879b3cc25054a1efb9a4a37398dafadc9da4af2ea89fb23e9fc872b5008a",
     "c7/match_ucb_prime/2": "a83f9cdeba072bee1be1f73df8ad5c8c2677c34e24123dd4988dd10e4a45d1d7",
@@ -123,8 +123,8 @@ DIGESTS = {
     "small_square/ucb_3x3/1": "9ab2a0ab57361c598fea6a2fb319003ea29482b6f410e2315228e58888e10b10",
     "small_square/ucb_prime_3x3/0": "4b4aeca55e38392ed47bcbab0967320a679ae918a061854af8a8228996ee015f",
     "small_square/ucb_prime_3x3/1": "f55906ef0c2b3357ff213eba398e43c54dfe78ae42b41591a9abcc7de68414bd",
-    "structured_12/lin_12/0": "3edb2459538bcb1e4243b3c39a20923fc0765c9347d845461de60b1577e7d378",
-    "structured_12/lin_12/1": "f0fd25e61648e69cd2112ddcd80dc631d9363c4aa6148a35219911d351d4bf39",
+    "structured_12/lin_12/0": "6c92c5f746fc55f21fd24d528789544aff5690247d371f5678b0bc56b5d68365",
+    "structured_12/lin_12/1": "89b3eed3ccb6631902487824aa9c752d9b94f62b70ceb2b220428403a336f44a",
     "structured_12/typed_12/0": "1750611d6a8344f293677100a2658aa66c5f079ca089d21c942b603e8ecf85e5",
     "structured_12/typed_12/1": "2b33061cf3de64eb8506b704cc241d107a043a88da7d303ef58d6c1853382655",
     "structured_12/ucb_12/0": "00788601f227dd94e2e7214ef85f8b586e77a7d17b7d78e4c3a182fc092b2dac",

@@ -253,10 +253,10 @@ class CountingSpec:
         return PolicySpec(self.kind).build(instance, horizon)
 
 
-def fails_before_round_0(instance):
+def fails_before_round_0(instance, match=None):
     """Assert that ``run`` raises one ConfigError on ``instance`` before it builds the policy."""
     spec = CountingSpec()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         run(instance, spec, 20)
     assert spec.built == 0
 
@@ -305,6 +305,21 @@ class TestRunStartCheck:
         # repeated agent ran to the end.
         arrival = ArrivalSpec(kind="fixed", schedule=(((0, 1), (2,)), entry))
         fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=arrival))
+
+    @pytest.mark.parametrize(
+        "entry", [(("a", 1), (0,)), ((0,), (1,), (2,)), 5], ids=["unsortable_side", "three_sides", "not_a_pair"]
+    )
+    def test_fixed_entry_that_is_not_a_pair_of_sides(self, entry):
+        # The sort in ArrivalSpec raised a raw TypeError or ValueError; the spec now fails as it is made.
+        with pytest.raises(ConfigError, match="^arrival: "):
+            ArrivalSpec(kind="fixed", schedule=(((0, 1), (2,)), entry))
+
+    def test_iid_probability_that_is_not_a_number(self):
+        # The range comparison in the run-start check raised a raw TypeError.
+        fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=ArrivalSpec("iid_subset", "0.5")), "^arrival: ")
+
+    def test_sigma_that_is_not_a_number(self):
+        fails_before_round_0(self.instance(noise=NoiseSpec(sigma="1")), "^noise: ")
 
     def test_numpy_integer_indices_run_as_python_ones(self):
         schedules = [
