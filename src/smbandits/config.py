@@ -1,8 +1,9 @@
 """JSON input: experiment configs and the instance and outcome files of ``score``.
 
-Every JSON value the program reads is validated here, by one set of hand-rolled
-readers, so the rules are written once and each error names the offending key
-path. Keeping the dependency surface at zero rules out a schema library.
+This module reads JSON: it checks each value's JSON type and the numeric rule, rejects unknown keys and the keys a
+policy kind does not read, and builds the library objects. Those check every value of a run, once, in
+``environment`` (``PolicySpec``, ``SweepCell``) and ``confidence`` (``ConfidenceConfig``); their messages start with
+the key path, and ``config.`` goes in front. Keeping the dependency surface at zero rules out a schema library.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import math
 import numpy as np
 
 from .confidence import ConfidenceConfig
-from .environment import _NUMBER_MAX, POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell
+from .environment import _NUMBER_MAX, POLICY_KINDS, ArrivalSpec, NoiseSpec, PolicySpec, SweepCell, _require
 from .errors import ConfigError
 from .market import Matching, MarketOutcome, UtilityMatrix
-from .policies import _EPSILON_MAX
 
 SCHEMA_VERSION = 1
-
-_CLASSES = ("unstructured", "typed", "linear")
 
 # Every JSON number keeps the sigma bound ``_NUMBER_MAX``. A scored gain or floor of values and transfers within it
 # is below 6e290, so every sum of one term per agent stays finite for any market under 10**17 agents.
@@ -29,11 +27,6 @@ _NUMBER_RULE = f"finite, of magnitude at most {_NUMBER_MAX:g}"
 
 _NUMBER = (int, float)
 _VALUE_KEYS = ("customer_values", "provider_values")
-
-
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
 
 
 def _of_type(x, types: type | tuple[type, ...]) -> bool:
@@ -67,14 +60,6 @@ def _take(obj: dict, path: str, allowed: dict[str, type | tuple[type, ...]]) -> 
 
 
 # The readers that ``score`` runs test before they format a message: every benchmark workload times ``score``.
-def _agent_indices(xs: list, counts, path: str, *index: int) -> None:
-    """Raise at ``path[index]...[k]`` for the first entry k of ``xs`` that is not an agent index in [0, counts[k])."""
-    for k, (x, count) in enumerate(zip(xs, counts)):
-        # ``type`` rather than ``isinstance``: JSON true is not an index.
-        if not (type(x) is int and 0 <= x < count):
-            raise ConfigError(f"{path}{''.join(f'[{i}]' for i in (*index, k))}: must be an agent index in [0, {count})")
-
-
 def _number_array(raw, where: str, ndim: int, may_hold_bool: bool = True) -> np.ndarray:
     """``raw`` as a float array of ``ndim`` dimensions whose entries keep the numeric rule.
 
@@ -132,7 +117,10 @@ def _outcome(obj, path: str, n_c: int, n_p: int) -> tuple[MarketOutcome, bool]:
     for k, pair in enumerate(raw):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"{where}[{k}]: expected a [customer, provider] pair")
-        _agent_indices(pair, (n_c, n_p), where, k)
+        for s, (x, count) in enumerate(zip(pair, (n_c, n_p))):
+            # ``type`` rather than ``isinstance``: JSON true is not an index.
+            if not (type(x) is int and 0 <= x < count):
+                raise ConfigError(f"{where}[{k}][{s}]: must be an agent index in [0, {count})")
     try:
         matching = Matching(raw)
     except ValueError as exc:
@@ -160,79 +148,31 @@ _OWN_KEYS = {"revenue_frictions": ("epsilon",), "etc": ("etc_pulls_per_pair",)}
 def _parse_policy(obj: dict, path: str) -> PolicySpec:
     knobs = [f.name for f in dataclasses.fields(ConfidenceConfig)]
     _take(obj, path, {"kind": str, **dict.fromkeys(knobs, _NUMBER), "epsilon": _NUMBER, "etc_pulls_per_pair": int})
-    kind = obj.get("kind")
-    _require(kind in POLICY_KINDS, f"{path}.kind", f"must be one of {tuple(POLICY_KINDS)}")
-    reads = ("kind", *_WIDTH_KEYS.get(POLICY_KINDS[kind][1].mode, ("ucb_scale",)), *_OWN_KEYS.get(kind, ()))
-    for key in obj:
-        _require(key in reads, f"{path}.{key}", f"policy kind {kind} does not read this key")
-    pulls = obj.get("etc_pulls_per_pair")
-    _require(pulls is None or pulls >= 0, f"{path}.etc_pulls_per_pair", "must be nonnegative")
     try:
-        conf = ConfidenceConfig(**{key: float(obj[key]) for key in knobs if key in obj})
-    except ValueError as exc:
+        spec = PolicySpec(
+            kind=obj.get("kind"),
+            confidence=ConfidenceConfig(**{key: float(obj[key]) for key in knobs if key in obj}),
+            epsilon=float(obj.get("epsilon", PolicySpec.epsilon)),
+            etc_pulls_per_pair=obj.get("etc_pulls_per_pair"),
+        )
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}.{exc}") from exc
-    epsilon = float(obj.get("epsilon", PolicySpec.epsilon))
-    _require(0 < epsilon <= _EPSILON_MAX, f"{path}.epsilon", f"must lie in (0, {_EPSILON_MAX:g}]")
-    return PolicySpec(kind=kind, confidence=conf, epsilon=epsilon, etc_pulls_per_pair=pulls)
+    reads = ("kind", *_WIDTH_KEYS.get(POLICY_KINDS[spec.kind][1].mode, ("ucb_scale",)), *_OWN_KEYS.get(spec.kind, ()))
+    for key in obj:
+        _require(key in reads, f"{path}.{key}", f"policy kind {spec.kind} does not read this key")
+    return spec
 
 
-def _parse_agents(raw, path: str, count: int) -> tuple[int, ...]:
-    """Distinct agent indices in [0, count)."""
-    _require(isinstance(raw, list), path, "expected a list of agent indices")
-    _agent_indices(raw, [count] * len(raw), path)
-    _require(len(set(raw)) == len(raw), path, "repeats an agent index")
-    return tuple(raw)
-
-
-def _parse_arrival(obj: dict, path: str, n_c: int, n_p: int) -> ArrivalSpec:
+def _parse_arrival(obj: dict, path: str) -> dict:
+    """The ``ArrivalSpec`` arguments of ``obj``: ``p`` only for ``iid_subset``, ``schedule`` only for ``fixed``."""
     _take(obj, path, {"kind": str, "p": _NUMBER, "schedule": list})
     kind = obj.get("kind", ArrivalSpec.kind)
-    _require(kind in ("all", "iid_subset", "fixed"), f"{path}.kind", "must be all|iid_subset|fixed")
-    if kind == "iid_subset":
-        p = float(obj.get("p", ArrivalSpec.probability))
-        _require(0.0 < p <= 1.0, f"{path}.p", "must lie in (0, 1]")
-        return ArrivalSpec(kind="iid_subset", probability=p)
-    if kind == "fixed":
-        raw = obj.get("schedule")
-        _require(isinstance(raw, list) and raw, f"{path}.schedule", "must be a non-empty list")
-        schedule = []
-        for k, entry in enumerate(raw):
-            _require(
-                isinstance(entry, list) and len(entry) == 2,
-                f"{path}.schedule[{k}]",
-                "expected [customer list, provider list]",
-            )
-            schedule.append(
-                (
-                    _parse_agents(entry[0], f"{path}.schedule[{k}][0]", n_c),
-                    _parse_agents(entry[1], f"{path}.schedule[{k}][1]", n_p),
-                )
-            )
-        return ArrivalSpec(kind="fixed", schedule=tuple(schedule))
-    return ArrivalSpec()
-
-
-def _parse_noise(obj: dict, path: str) -> NoiseSpec:
-    _take(obj, path, {"kind": str, "sigma": _NUMBER})
-    kind = obj.get("kind", NoiseSpec.kind)
-    _require(kind in ("gaussian", "bernoulli"), f"{path}.kind", "must be gaussian|bernoulli")
-    sigma = float(obj.get("sigma", NoiseSpec.sigma))
-    _require(sigma >= 0, f"{path}.sigma", f"must lie in [0, {_NUMBER_MAX:g}]")
-    return NoiseSpec(kind=kind, sigma=sigma)
-
-
-def _parse_truth(obj: dict, path: str, n_c: int, n_p: int) -> UtilityMatrix:
-    _take(obj, path, dict.fromkeys(_VALUE_KEYS, list))
-    truth = _utility(obj, path, ".")
-    for key in _VALUE_KEYS:
-        # The confidence sets are clipped to [-1, 1], so they never contain a truth outside it.
-        _require(np.abs(getattr(truth, key)).max(initial=0.0) <= 1.0, f"{path}.{key}", "entries must lie in [-1, 1]")
-    _require(
-        truth.num_customers == n_c and truth.num_providers == n_p,
-        path,
-        f"truth shape {truth.num_customers}x{truth.num_providers} differs from market {n_c}x{n_p}",
-    )
-    return truth
+    schedule = obj.get("schedule", []) if kind == "fixed" else []
+    for k, entry in enumerate(schedule):
+        shape = isinstance(entry, list) and len(entry) == 2 and all(isinstance(side, list) for side in entry)
+        _require(shape, f"{path}.schedule[{k}]", "expected [customer list, provider list]")
+    p = obj.get("p", ArrivalSpec.probability) if kind == "iid_subset" else ArrivalSpec.probability
+    return {"kind": kind, "probability": float(p), "schedule": tuple((tuple(c), tuple(q)) for c, q in schedule)}
 
 
 def parse_config(obj: dict, path: str = "config") -> SweepCell:
@@ -263,50 +203,29 @@ def parse_config(obj: dict, path: str = "config") -> SweepCell:
     )
     for key in ("class", "customers", "providers", "policy", "horizon", "seeds"):
         _require(key in obj, f"{path}.{key}", "is required")
-    _require(obj["class"] in _CLASSES, f"{path}.class", f"must be one of {_CLASSES}")
-    _require(obj["customers"] > 0, f"{path}.customers", "must be positive")
-    _require(obj["providers"] > 0, f"{path}.providers", "must be positive")
-    _require(obj["horizon"] > 0, f"{path}.horizon", "must be positive")
-    seeds = obj["seeds"]
-    _require(bool(seeds), f"{path}.seeds", "must be a non-empty list")
-    _require(all(_of_type(s, int) for s in seeds), f"{path}.seeds", "entries must be integers")
-    # The RNG keys on a seed's low 64 bits: outside [0, 2**64) two seeds can name one replica.
-    _require(all(0 <= s < 2**64 for s in seeds), f"{path}.seeds", "entries must lie in [0, 2**64)")
-    _require(len(set(seeds)) == len(seeds), f"{path}.seeds", "entries must be distinct")
-    for key in ("num_types", "dim"):
-        _require(obj.get(key, 1) >= 1, f"{path}.{key}", "must be at least 1")
     policy = _parse_policy(obj["policy"], f"{path}.policy")
-    # Typed and linear sets read the structure of an instance of that class.
-    sets = POLICY_KINDS[policy.kind][1].mode
-    if sets != "unstructured":
-        _require(obj["class"] == sets, f"{path}.class", f"{policy.kind} needs class={sets}")
-    n_c, n_p = obj["customers"], obj["providers"]
-    arrival = _parse_arrival(obj.get("arrival", {}), f"{path}.arrival", n_c, n_p)
-    noise = _parse_noise(obj.get("noise", {}), f"{path}.noise")
+    arrival = _parse_arrival(obj.get("arrival", {}), f"{path}.arrival")
+    noise = _take(obj.get("noise", {}), f"{path}.noise", {"kind": str, "sigma": _NUMBER})
     truth = None
     if "truth" in obj:
-        _require(obj["class"] == "unstructured", f"{path}.truth", "fixed truth requires class=unstructured")
-        truth = _parse_truth(obj["truth"], f"{path}.truth", n_c, n_p)
-    if noise.kind == "bernoulli":
-        _require(
-            truth is not None
-            and all(0.0 <= v.min() and v.max() <= 1.0 for v in (truth.customer_values, truth.provider_values)),
-            f"{path}.noise.kind",
-            "bernoulli feedback needs a fixed truth with every value in [0, 1]",
+        _take(obj["truth"], f"{path}.truth", dict.fromkeys(_VALUE_KEYS, list))
+        truth = _utility(obj["truth"], f"{path}.truth", ".")
+    try:
+        return SweepCell(
+            name=obj.get("name", "experiment"),
+            klass=obj["class"],
+            num_customers=obj["customers"],
+            num_providers=obj["providers"],
+            horizon=obj["horizon"],
+            policy=policy,
+            seeds=tuple(obj["seeds"]),
+            arrival=ArrivalSpec(**arrival),
+            noise=NoiseSpec(noise.get("kind", NoiseSpec.kind), float(noise.get("sigma", NoiseSpec.sigma))),
+            truth=truth,
+            **{key: obj[key] for key in ("num_types", "dim") if key in obj},
         )
-    return SweepCell(
-        name=obj.get("name", "experiment"),
-        klass=obj["class"],
-        num_customers=n_c,
-        num_providers=n_p,
-        horizon=obj["horizon"],
-        policy=policy,
-        seeds=tuple(seeds),
-        arrival=arrival,
-        noise=noise,
-        truth=truth,
-        **{key: obj[key] for key in ("num_types", "dim") if key in obj},
-    )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def read_json(path: str) -> tuple[object, str]:

@@ -50,6 +50,28 @@ _STREAM_NOISE = 2
 _MASK64 = (1 << 64) - 1
 
 
+def _require(cond: bool, path: str, message: str) -> None:
+    """Raise ``ConfigError("path: message")`` unless ``cond``; ``path`` is the config key path of the checked value."""
+    if not cond:
+        raise ConfigError(f"{path}: {message}")
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer and not a boolean, which Python reads as 0 or 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _require_counts(**counts) -> None:
+    """Raise ConfigError, led by the key, unless every value is a positive integer."""
+    for key, value in counts.items():
+        _require(_is_int(value) and value >= 1, key, "must be a positive integer")
+
+
+def _seed_ok(seed) -> bool:
+    """Whether ``seed`` lies in [0, 2**64); the streams key on its low 64 bits, so outside it two seeds alias."""
+    return _is_int(seed) and 0 <= int(seed) < 2**64
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based RNG split: one Philox key per (seed, stream) pair."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
@@ -158,6 +180,12 @@ def _unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return raw / norms * rng.uniform(0.0, 1.0, size=(count, 1))
 
 
+def _check_recipe(klass: str, num_customers: int, num_providers: int, num_types: int, dim: int) -> None:
+    """Raise ConfigError, led by the config key, unless these describe a market ``gen_instance`` can generate."""
+    _require(klass in ("unstructured", "typed", "linear"), "class", "must be unstructured|typed|linear")
+    _require_counts(customers=num_customers, providers=num_providers, num_types=num_types, dim=dim)
+
+
 def gen_instance(
     klass: str,
     num_customers: int,
@@ -170,8 +198,7 @@ def gen_instance(
     noise: NoiseSpec | None = None,
 ) -> MarketInstance:
     """Deterministic instance of the requested preference class."""
-    if num_customers <= 0 or num_providers <= 0:
-        raise ConfigError("market sizes must be positive")
+    _check_recipe(klass, num_customers, num_providers, num_types, dim)
     rng = stream_rng(seed, 0)
     arrival = arrival or ArrivalSpec()
     noise = noise or NoiseSpec()
@@ -182,8 +209,6 @@ def gen_instance(
         return MarketInstance(UtilityMatrix(cv, pv), UnstructuredClass(), arrival, noise, seed)
 
     if klass == "typed":
-        if num_types <= 0:
-            raise ConfigError("num_types must be positive")
         f = rng.uniform(-1.0, 1.0, (num_types, num_types))
         tc = rng.integers(0, num_types, num_customers)
         tp = rng.integers(0, num_types, num_providers)
@@ -192,19 +217,15 @@ def gen_instance(
         spec = TypedClass(num_types, tc, tp, f)
         return MarketInstance(UtilityMatrix(cv, pv), spec, arrival, noise, seed)
 
-    if klass == "linear":
-        if dim < 1:
-            raise ConfigError("linear class needs dim >= 1")
-        phi_c = _unit_vectors(rng, num_customers, dim)
-        phi_p = _unit_vectors(rng, num_providers, dim)
-        ctx_c = _unit_vectors(rng, num_customers, dim)
-        ctx_p = _unit_vectors(rng, num_providers, dim)
-        cv = phi_c @ ctx_p.T
-        pv = phi_p @ ctx_c.T
-        spec = LinearClass(dim, phi_c, phi_p, ctx_c, ctx_p)
-        return MarketInstance(UtilityMatrix(cv, pv), spec, arrival, noise, seed)
-
-    raise ConfigError(f"unknown preference class {klass!r}")
+    # linear, the one class left after _check_recipe
+    phi_c = _unit_vectors(rng, num_customers, dim)
+    phi_p = _unit_vectors(rng, num_providers, dim)
+    ctx_c = _unit_vectors(rng, num_customers, dim)
+    ctx_p = _unit_vectors(rng, num_providers, dim)
+    cv = phi_c @ ctx_p.T
+    pv = phi_p @ ctx_c.T
+    spec = LinearClass(dim, phi_c, phi_p, ctx_c, ctx_p)
+    return MarketInstance(UtilityMatrix(cv, pv), spec, arrival, noise, seed)
 
 
 def gen_hard_instance(K: int, horizon: int, seed: int, rho: float | None = None) -> MarketInstance:
@@ -262,12 +283,17 @@ class PolicySpec:
 
     kind: str  # a key of POLICY_KINDS
     confidence: ConfidenceConfig = field(default_factory=ConfidenceConfig)
-    epsilon: float = 0.3
-    etc_pulls_per_pair: int | None = None
+    epsilon: float = 0.3  # the fee of revenue_frictions
+    etc_pulls_per_pair: int | None = None  # None: etc's default
+
+    def __post_init__(self) -> None:
+        kind, eps, pulls = self.kind, self.epsilon, self.etc_pulls_per_pair
+        _require(isinstance(kind, str) and kind in POLICY_KINDS, "kind", f"must be one of {tuple(POLICY_KINDS)}")
+        if not (isinstance(eps, numbers.Real) and 0 < eps <= pol._EPSILON_MAX):
+            raise ConfigError(f"epsilon: must lie in (0, {pol._EPSILON_MAX:g}]")
+        _require(pulls is None or _is_int(pulls) and pulls >= 0, "etc_pulls_per_pair", "must be a nonnegative integer")
 
     def build(self, instance: MarketInstance, horizon: int) -> pol.Policy:
-        if self.kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind {self.kind!r}")
         policy_cls, sets = POLICY_KINDS[self.kind]
         conf = _confidence_for(sets, self.confidence, instance)
         if policy_cls is pol.EtcPolicy:
@@ -344,6 +370,7 @@ def run(
     and whenever the upper bounds are bytewise those it was selected on, ``_replay`` plays the rounds that follow in
     one scalar pass, up to the first whose fold moves an upper bound and short of the round that ends the block.
     """
+    _require_counts(horizon=horizon)
     _check(instance)
     policy = spec.build(instance, horizon)
     conf = policy.conf
@@ -574,27 +601,42 @@ def _containment(values: np.ndarray, records: list, snaps: list) -> np.ndarray:
 
 
 def _check(instance: MarketInstance) -> None:
-    """Raise ConfigError unless ``run`` may trust ``instance``, by config's rules: a known arrival kind, p in (0, 1] for
-    ``iid_subset``, a non-empty ``fixed`` schedule, distinct agent indices in range on each side of an entry; a known
-    noise kind, sigma in [0, ``_NUMBER_MAX``]; every utility in [-1, 1], or [0, 1] under Bernoulli feedback."""
-    arrival, noise, truth = instance.arrival, instance.noise, instance.truth
-    if arrival.kind not in ("all", "iid_subset", "fixed") or arrival.kind == "fixed" and not arrival.schedule:
-        raise ConfigError(f"arrival: expected all, iid_subset or fixed with a non-empty schedule, got {arrival}")
-    p = arrival.probability
-    if arrival.kind == "iid_subset" and not (isinstance(p, numbers.Real) and 0.0 < p <= 1.0):
-        raise ConfigError(f"arrival: iid_subset needs a probability in (0, 1], got {p!r}")
-    for entry in arrival.schedule:
-        for side, n in zip(entry, (truth.num_customers, truth.num_providers)):
-            indices = all(isinstance(x, (int, np.integer)) and type(x) is not bool and 0 <= x < n for x in side)
-            if not indices or len(set(side)) < len(side):
-                raise ConfigError(f"arrival: expected distinct agent indices in range on each side, got {entry}")
-    sigma_ok = isinstance(noise.sigma, numbers.Real) and 0.0 <= noise.sigma <= _NUMBER_MAX
-    if noise.kind not in ("gaussian", "bernoulli") or not sigma_ok:
-        raise ConfigError(f"noise: expected gaussian or bernoulli with sigma in [0, {_NUMBER_MAX:g}], got {noise}")
-    low = 0.0 if noise.kind == "bernoulli" else -1.0
-    for values in (truth.customer_values, truth.provider_values):
-        if not (low <= values.min(initial=low) and values.max(initial=1.0) <= 1.0):
-            raise ConfigError(f"truth: {noise.kind} feedback needs every utility in [{low:g}, 1]")
+    """Raise ConfigError unless ``run`` may trust ``instance``: ``_check_inputs`` and the seed range."""
+    _check_inputs(instance.arrival, instance.noise, instance.truth, instance.num_customers, instance.num_providers)
+    _require(_seed_ok(instance.seed), "seed", "must be an integer in [0, 2**64)")
+
+
+def _check_inputs(arrival: ArrivalSpec, noise: NoiseSpec, truth: UtilityMatrix | None, n_c: int, n_p: int) -> None:
+    """Raise ConfigError, led by the key path, unless an n_c x n_p market's rounds may trust these: a known arrival
+    kind, p in (0, 1] for ``iid_subset``, a non-empty ``fixed`` schedule of distinct agent indices in range on each
+    side; a known noise kind, sigma in [0, ``_NUMBER_MAX``]; a truth (None: generated) in [-1, 1], the range the sets
+    are clipped to, and in [0, 1] if fixed under Bernoulli feedback, at every pair, played or not."""
+    _require(arrival.kind in ("all", "iid_subset", "fixed"), "arrival.kind", "must be all|iid_subset|fixed")
+    if arrival.kind == "iid_subset":
+        p = arrival.probability
+        _require(isinstance(p, numbers.Real) and 0.0 < p <= 1.0, "arrival.p", "must lie in (0, 1]")
+    _require(arrival.kind != "fixed" or len(arrival.schedule) > 0, "arrival.schedule", "must be a non-empty list")
+    # ArrivalSpec sorted each side, so the message names the side and the agent, not a position in the side.
+    for k, entry in enumerate(arrival.schedule):
+        for s, (side, n) in enumerate(zip(entry, (n_c, n_p))):
+            for x in side:
+                if not (_is_int(x) and 0 <= x < n):
+                    raise ConfigError(f"arrival.schedule[{k}][{s}]: agent {x} is not an index in [0, {n})")
+            for a, b in zip(side, side[1:]):
+                if a == b:
+                    raise ConfigError(f"arrival.schedule[{k}][{s}]: agent {a} is listed twice")
+    _require(noise.kind in ("gaussian", "bernoulli"), "noise.kind", "must be gaussian|bernoulli")
+    if not (isinstance(noise.sigma, numbers.Real) and 0.0 <= noise.sigma <= _NUMBER_MAX):
+        raise ConfigError(f"noise.sigma: must lie in [0, {_NUMBER_MAX:g}]")
+    values = () if truth is None else (("customer", truth.customer_values), ("provider", truth.provider_values))
+    for side, v in values:
+        if not np.abs(v).max(initial=0.0) <= 1.0:
+            raise ConfigError(f"truth.{side}_values: entries must lie in [-1, 1]")
+    _require(
+        noise.kind != "bernoulli" or truth is not None and all(v.min(initial=0.0) >= 0.0 for _, v in values),
+        "noise.kind",
+        "bernoulli feedback needs a fixed truth with every value in [0, 1]",
+    )
 
 
 def _draw_arrivals(
@@ -656,6 +698,23 @@ class SweepCell:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     truth: UtilityMatrix | None = None
+
+    def __post_init__(self) -> None:
+        n_c, n_p, seeds = self.num_customers, self.num_providers, self.seeds
+        _check_recipe(self.klass, n_c, n_p, self.num_types, self.dim)
+        _require_counts(horizon=self.horizon)
+        ints = isinstance(seeds, (tuple, list)) and len(seeds) > 0 and all(map(_is_int, seeds))
+        _require(ints, "seeds", "must be a non-empty list of integers")
+        _require(all(map(_seed_ok, seeds)), "seeds", "entries must lie in [0, 2**64)")
+        _require(len(set(seeds)) == len(seeds), "seeds", "entries must be distinct")
+        # Typed and linear sets read the structure of an instance of that class.
+        sets = POLICY_KINDS[self.policy.kind][1].mode
+        _require(sets in ("unstructured", self.klass), "class", f"{self.policy.kind} needs class={sets}")
+        if self.truth is not None:
+            _require(self.klass == "unstructured", "truth", "fixed truth requires class=unstructured")
+            shape = (self.truth.num_customers, self.truth.num_providers)
+            _require(shape == (n_c, n_p), "truth", f"shape {shape[0]}x{shape[1]} differs from the market's {n_c}x{n_p}")
+        _check_inputs(self.arrival, self.noise, self.truth, n_c, n_p)
 
 
 def _run_cell_seed(args: tuple[SweepCell, int]) -> tuple[str, int, RegretTrace]:

@@ -166,7 +166,7 @@ def compute_match_ntu(conf: ConfidenceSets, arrivals: Arrivals) -> Matching:
     Proposal-order ties break toward the lower provider index.
     """
     cust, prov = arrivals
-    sub = conf.ucb_matrix().restrict(cust, prov)
+    sub = UtilityMatrix._trusted(conf.hi_c, conf.hi_p).restrict(cust, prov)
     u_c = sub.customer_values
     u_p = sub.provider_values.tolist()
     n_c = len(cust)
@@ -379,8 +379,6 @@ class RevenueFrictionsPolicy(Policy):
     compatible_sets = (UnstructuredConfidence,)
 
     def __init__(self, conf: ConfidenceSets, horizon: int, epsilon: float) -> None:
-        if not 0 < epsilon <= _EPSILON_MAX:
-            raise ValueError(f"epsilon must lie in (0, {_EPSILON_MAX:g}]")
         super().__init__(conf, horizon)
         self.epsilon = epsilon
 

@@ -100,7 +100,7 @@ class TestConfigParsing:
         [
             (
                 {"arrival": {"kind": "fixed", "schedule": [[[0], [1]], [[0, 2], [1]]]}},
-                r"config\.arrival\.schedule\[1\]\[0\]\[1\]",
+                r"config\.arrival\.schedule\[1\]\[0\]: agent 2 is not an index in \[0, 2\)",
             ),
             (
                 {"arrival": {"kind": "fixed", "schedule": [[[0, 1], [1, 1]]]}},

@@ -126,8 +126,9 @@ class TestPolicyKinds:
             PolicySpec(kind).build(gen_instance("unstructured", 2, 2, seed=0), 10)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown policy kind"):
-            PolicySpec("match_nothing").build(gen_instance("unstructured", 2, 2, seed=0), 10)
+        # The spec checks its kind as it is made.
+        with pytest.raises(ConfigError, match="^kind: "):
+            PolicySpec("match_nothing")
 
 
 class TestRunLoop:
@@ -316,10 +317,10 @@ class TestRunStartCheck:
 
     def test_iid_probability_that_is_not_a_number(self):
         # The range comparison in the run-start check raised a raw TypeError.
-        fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=ArrivalSpec("iid_subset", "0.5")), "^arrival: ")
+        fails_before_round_0(gen_instance("unstructured", 3, 3, 0, arrival=ArrivalSpec("iid_subset", "0.5")), r"^arrival\.p: ")
 
     def test_sigma_that_is_not_a_number(self):
-        fails_before_round_0(self.instance(noise=NoiseSpec(sigma="1")), "^noise: ")
+        fails_before_round_0(self.instance(noise=NoiseSpec(sigma="1")), r"^noise\.sigma: ")
 
     def test_numpy_integer_indices_run_as_python_ones(self):
         schedules = [
@@ -335,6 +336,43 @@ class TestRunStartCheck:
         for noise, low in ((NoiseSpec(sigma=1e290), -1.0), (NoiseSpec(kind="bernoulli", sigma=0.0), 0.0)):
             trace = run(self.instance(noise=noise, cv=((low, 1.0),), pv=((1.0,), (low,))), PolicySpec("match_ucb"), 20)
             assert trace.horizon == 20
+
+
+class TestLibraryInputs:
+    """Inputs built in Python keep the config's rules: each case here ran, or failed with a raw error, though its
+    config fails to parse."""
+
+    @pytest.mark.parametrize("seeds", [(0, 0), (0, 2**64), (-1,)], ids=["repeated", "beyond_64_bits", "negative"])
+    def test_seeds_outside_the_rule(self, seeds):
+        # (0, 0) swept one replica; 0 and 2**64, and -1 and 2**64 - 1, played one replica under two names.
+        spec = CountingSpec()
+        with pytest.raises(ConfigError, match="^seeds: "):
+            sweep([SweepCell("a", "unstructured", 2, 2, 10, spec, seeds=seeds)])
+        assert spec.built == 0
+
+    def test_seed_outside_the_range_at_run(self):
+        fails_before_round_0(gen_instance("unstructured", 2, 2, -1), "^seed: ")
+
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5])
+    def test_horizon_that_is_not_a_positive_integer(self, horizon):
+        # Horizon 0 ran and left summarize an IndexError; -1 and 2.5 raised raw numpy errors.
+        spec = CountingSpec()
+        with pytest.raises(ConfigError, match="^horizon: "):
+            run(gen_instance("unstructured", 2, 2, 0), spec, horizon)
+        assert spec.built == 0
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda: PolicySpec("etc", etc_pulls_per_pair=-1), "etc_pulls_per_pair"),
+            (lambda: PolicySpec("revenue_frictions", epsilon=math.nan), "epsilon"),
+        ],
+        ids=["negative_pulls", "nan_fee"],
+    )
+    def test_policy_knob_outside_its_range(self, make, key):
+        # Negative pulls committed at round 0; a NaN fee raised a bare ValueError as the policy was built.
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            run(gen_instance("unstructured", 2, 2, 0), make(), 20)
 
 
 class TestSweep:

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_market
 from smbandits.confidence import ConfidenceConfig, LinearConfidence, UnstructuredConfidence
-from smbandits.errors import ProtocolViolation
+from smbandits.environment import PolicySpec
+from smbandits.errors import ConfigError, ProtocolViolation
 from smbandits.instability import subset_instability_value
 from smbandits.market import (
     Matching,
@@ -335,14 +336,15 @@ class TestRevenueFrictions:
             assert payoff_inequalities_hold(*decision.outcome.net_payoffs(truth), truth.joint(), eps)
             decision.scored_outcome.check_zero_sum()
 
+    # The spec checks the fee as it is made; the policy trusts it.
     def test_rejects_nonpositive_epsilon(self):
-        conf = UnstructuredConfidence(2, 2)
-        with pytest.raises(ValueError):
-            RevenueFrictionsPolicy(conf, horizon=10, epsilon=0.0)
+        with pytest.raises(ConfigError, match="^epsilon: must lie in"):
+            PolicySpec("revenue_frictions", epsilon=0.0)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1e300])
     def test_rejects_non_finite_and_overflowing_epsilon(self, epsilon):
         # nan <= 0 is false, so a bare positivity test let nan through.
-        with pytest.raises(ValueError, match="epsilon must lie in"):
-            RevenueFrictionsPolicy(UnstructuredConfidence(2, 2), horizon=10, epsilon=epsilon)
+        with pytest.raises(ConfigError, match="^epsilon: must lie in"):
+            PolicySpec("revenue_frictions", epsilon=epsilon)
+        assert PolicySpec("revenue_frictions", epsilon=1e290).epsilon == 1e290
         assert RevenueFrictionsPolicy(UnstructuredConfidence(2, 2), horizon=10, epsilon=1e290).epsilon == 1e290
